@@ -4,7 +4,7 @@ Each spatial location is treated as one data point whose feature vector is
 the stack of all image intensities at that location.  A small CNN scores
 every location at once: the whole dataset is reshaped to a single
 (1, N*C, W, H) input, and the network emits one (1, 1, W, H) weight map in
-(0, 1) that is shared by every image.  Surrounding locations enter through
+(0, 1] that is shared by every image.  Surrounding locations enter through
 the hidden kernel; the last layer is 1x1 by default so each score depends
 only on its own abstract features.
 
@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import Field, format_bool, parse_bool
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
-from .serialize import read_checkpoint, write_checkpoint
+from .serialize import load_model_checkpoint, save_model_checkpoint
 from .tensor import (Tensor, concat_channels, conv2d, l1_mean, relu, sigmoid)
 
 __all__ = [
@@ -66,6 +67,20 @@ class AttentionModel:
     ``dense_connections`` every hidden layer past the first, and the final
     layer, consume the channel concatenation of all earlier hidden outputs.
     """
+
+    KIND = "attention"
+    FIELDS = (
+        Field("mode", "mode"),
+        Field("in_channels", "in_channels", int),
+        Field("width", "width", int),
+        Field("height", "height", int),
+        Field("channels", "channels", int),
+        Field("hidden_kernel", "hidden_kernel", int),
+        Field("depth", "depth", int),
+        Field("last_kernel", "last_kernel", int),
+        Field("dense_connections", "dense_connections", parse_bool,
+              format_bool),
+    )
 
     def __init__(self, mode: str, in_channels: int, width: int, height: int,
                  channels: int = 8, hidden_kernel: int = 3, depth: int = 2,
@@ -117,27 +132,13 @@ class AttentionModel:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params)
 
-    def config_header(self) -> dict[str, str]:
-        return {
-            "kind": "attention",
-            "mode": self.mode,
-            "in_channels": str(self.in_channels),
-            "width": str(self.width),
-            "height": str(self.height),
-            "channels": str(self.channels),
-            "hidden_kernel": str(self.hidden_kernel),
-            "depth": str(self.depth),
-            "last_kernel": str(self.last_kernel),
-            "dense_connections": str(int(self.dense_connections)),
-        }
-
 
 def attention_forward(model: AttentionModel, p: Tensor) -> Tensor:
     """Evaluate the global weight map, shape (1, 1, W, H).
 
-    In ``pixel_cnn`` mode values are strictly inside (0, 1); the
-    ``l1_pixel_weights`` baseline returns its raw multipliers; ``none``
-    returns all ones.
+    In ``pixel_cnn`` mode values lie in (0, 1]: fp64 rounds the sigmoid of
+    a logit above about 36.7 to exactly 1.0.  The ``l1_pixel_weights``
+    baseline returns its raw multipliers; ``none`` returns all ones.
     """
     expected = (1, model.in_channels, model.width, model.height)
     if model.mode == "pixel_cnn" and p.shape != expected:
@@ -212,31 +213,8 @@ def export_attention_map(weight_map: Tensor | np.ndarray,
 
 
 def save_attention_checkpoint(model: AttentionModel, path: str | Path) -> None:
-    write_checkpoint(path, model.config_header(), [p.data for p in model.params])
+    save_model_checkpoint(model, path)
 
 
 def load_attention_checkpoint(path: str | Path) -> AttentionModel:
-    header, tensors = read_checkpoint(path)
-    if header.get("kind") != "attention":
-        raise ConfigError(f"checkpoint {path} is not an attention checkpoint")
-    mode = header["mode"]
-    model = AttentionModel(
-        mode=mode,
-        in_channels=int(header["in_channels"]),
-        width=int(header["width"]),
-        height=int(header["height"]),
-        channels=int(header["channels"]),
-        hidden_kernel=int(header["hidden_kernel"]),
-        depth=int(header["depth"]),
-        last_kernel=int(header["last_kernel"]),
-        dense_connections=bool(int(header["dense_connections"])),
-        rng=np.random.default_rng(0) if mode == "pixel_cnn" else None)
-    if len(tensors) != len(model.params):
-        raise ConfigError(
-            f"checkpoint has {len(tensors)} tensors, model needs {len(model.params)}")
-    for param, stored in zip(model.params, tensors):
-        if param.shape != stored.shape:
-            raise ConfigError(
-                f"checkpoint tensor shape {stored.shape} != {param.shape}")
-        param.data = stored
-    return model
+    return load_model_checkpoint(AttentionModel, path)

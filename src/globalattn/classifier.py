@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import Field, format_ints, parse_ints
 from .errors import ConfigError, ContractError
-from .serialize import read_checkpoint, write_checkpoint
+from .serialize import load_model_checkpoint, save_model_checkpoint
 from .tensor import Tensor, conv2d, flatten, linear, maxpool2x2, relu
 
 __all__ = [
@@ -30,6 +31,15 @@ __all__ = [
 
 class ClassifierModel:
     """Stage channel widths, head, and the parameters of both."""
+
+    KIND = "classifier"
+    FIELDS = (
+        Field("in_channels", "in_channels", int),
+        Field("width", "width", int),
+        Field("height", "height", int),
+        Field("num_classes", "num_classes", int),
+        Field("stages", "stages", parse_ints, format_ints),
+    )
 
     def __init__(self, in_channels: int, width: int, height: int,
                  num_classes: int, stages: Sequence[int] = (8, 16),
@@ -70,16 +80,6 @@ class ClassifierModel:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params)
 
-    def config_header(self) -> dict[str, str]:
-        return {
-            "kind": "classifier",
-            "in_channels": str(self.in_channels),
-            "width": str(self.width),
-            "height": str(self.height),
-            "num_classes": str(self.num_classes),
-            "stages": ",".join(str(s) for s in self.stages),
-        }
-
 
 def classifier_forward(model: ClassifierModel, weighted: Tensor) -> Tensor:
     """Logits (B, L) for a batch of (possibly attention-weighted) images."""
@@ -113,26 +113,8 @@ def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
 
 
 def save_classifier_checkpoint(model: ClassifierModel, path: str | Path) -> None:
-    write_checkpoint(path, model.config_header(), [p.data for p in model.params])
+    save_model_checkpoint(model, path)
 
 
 def load_classifier_checkpoint(path: str | Path) -> ClassifierModel:
-    header, tensors = read_checkpoint(path)
-    if header.get("kind") != "classifier":
-        raise ConfigError(f"checkpoint {path} is not a classifier checkpoint")
-    model = ClassifierModel(
-        in_channels=int(header["in_channels"]),
-        width=int(header["width"]),
-        height=int(header["height"]),
-        num_classes=int(header["num_classes"]),
-        stages=tuple(int(s) for s in header["stages"].split(",")),
-        rng=np.random.default_rng(0))
-    if len(tensors) != len(model.params):
-        raise ConfigError(
-            f"checkpoint has {len(tensors)} tensors, model needs {len(model.params)}")
-    for param, stored in zip(model.params, tensors):
-        if param.shape != stored.shape:
-            raise ConfigError(
-                f"checkpoint tensor shape {stored.shape} != {param.shape}")
-        param.data = stored
-    return model
+    return load_model_checkpoint(ClassifierModel, path)

@@ -27,7 +27,7 @@ from .serialize import write_gten
 from .synthetic import generate_synthetic, load_synthetic_spec, split_train_test
 from .training import (config_kv, load_train_config, sweep, sweep_csv_text,
                        train)
-from .config import load_kv_file
+from .config import Field, field_keys, load_kv_file, parse_fields, parse_ints
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -111,30 +111,28 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
+_GRID_FIELDS = (
+    Field("K", "k_values", parse_ints),
+    Field("lambda", "lambda_values",
+          lambda text: tuple(float(v) for v in text.split(","))),
+    Field("E", "e_values", parse_ints),
+)
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_train_config(args.config)
-    grid = load_kv_file(args.grid, allowed_keys=("K", "lambda", "E"))
-    missing = [k for k in ("K", "lambda", "E") if k not in grid]
-    if missing:
-        raise ConfigError(f"grid file missing keys: {', '.join(missing)}")
-    try:
-        k_values = [int(v) for v in grid["K"].split(",")]
-        lambda_values = [float(v) for v in grid["lambda"].split(",")]
-        e_values = [int(v) for v in grid["E"].split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid value: {exc}") from exc
+    grid = load_kv_file(args.grid, field_keys(_GRID_FIELDS))
+    values = parse_fields(_GRID_FIELDS, grid, required=True)
     data_dir = Path(args.data)
     train_set = load_dataset(data_dir / "train")
     test_set = load_dataset(data_dir / "test")
-    rows = sweep(train_set, test_set, cfg, k_values, lambda_values, e_values,
-                 jobs=args.jobs)
+    rows = sweep(train_set, test_set, cfg, **values, jobs=args.jobs)
     out_csv = Path(args.out)
     if out_csv.parent != Path(""):
         out_csv.parent.mkdir(parents=True, exist_ok=True)
     out_csv.write_text(sweep_csv_text(rows))
-    manifest = RunManifest("sweep", {**config_kv(cfg), "grid.K": grid["K"],
-                                     "grid.lambda": grid["lambda"],
-                                     "grid.E": grid["E"]}, cfg.seed)
+    manifest = RunManifest("sweep", {**config_kv(cfg), **{
+        f"grid.{f.key}": grid[f.key] for f in _GRID_FIELDS}}, cfg.seed)
     manifest.add_artifact(out_csv)
     manifest.write(out_csv.with_name(out_csv.name + ".manifest.txt"))
     print(f"swept {len(rows)} cells into {out_csv}")

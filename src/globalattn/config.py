@@ -1,17 +1,25 @@
-"""Flat ``key = value`` configuration text.
+"""Flat ``key = value`` configuration text, and the records spelled in it.
 
 One key per line, ``#`` comments and blank lines ignored.  Unknown keys are
 errors rather than warnings: a silently ignored typo in a hyperparameter
 name would invalidate an experiment.
+
+Each record (train config, specs, model headers, dataset meta) declares one
+table of :class:`Field` rows; :func:`parse_fields` and
+:func:`format_fields` convert between the record and its key-value map.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, Iterable
 
 from .errors import ConfigError
 
-__all__ = ["parse_kv_text", "load_kv_file", "format_kv"]
+__all__ = ["parse_kv_text", "load_kv_file", "format_kv", "Field",
+           "field_keys", "parse_fields", "format_fields", "parse_bool",
+           "format_bool", "parse_ints", "format_ints"]
 
 
 def parse_kv_text(text: str, allowed_keys: tuple[str, ...] | None = None
@@ -41,8 +49,74 @@ def load_kv_file(path: str | Path, allowed_keys: tuple[str, ...] | None = None
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_kv_text(path.read_text(), allowed_keys)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from exc
+    return parse_kv_text(text, allowed_keys)
 
 
 def format_kv(pairs: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
+
+
+@dataclass(frozen=True)
+class Field:
+    """One line of a record: its key, the record attribute (and constructor
+    argument) it holds, and the conversions from and to the value text."""
+
+    key: str
+    attr: str
+    parse: Callable[[str], Any] = str
+    format: Callable[[Any], str] = str
+
+
+def field_keys(fields: tuple[Field, ...]) -> tuple[str, ...]:
+    return tuple(f.key for f in fields)
+
+
+def parse_fields(fields: tuple[Field, ...], kv: dict[str, str],
+                 required: bool = False) -> dict[str, Any]:
+    """Constructor keyword arguments from the keys of ``kv`` that ``fields``
+    names; other keys are ignored.  With ``required`` every field must be
+    present."""
+    if required:
+        missing = [f.key for f in fields if f.key not in kv]
+        if missing:
+            raise ConfigError(f"missing keys: {', '.join(missing)}")
+    out = {}
+    for f in fields:
+        if f.key in kv:
+            try:
+                out[f.attr] = f.parse(kv[f.key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"invalid {f.key} value {kv[f.key]!r}: {exc}") from exc
+    return out
+
+
+def format_fields(fields: tuple[Field, ...], record: Any) -> dict[str, str]:
+    """The record's key-value map, in table order."""
+    return {f.key: f.format(getattr(record, f.attr)) for f in fields}
+
+
+def parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError("expected 1/true/yes or 0/false/no")
+
+
+def format_bool(value: bool) -> str:
+    return str(int(value))
+
+
+def parse_ints(value: str) -> tuple[int, ...]:
+    """Comma-separated integers, e.g. ``8,16``."""
+    return tuple(int(tok) for tok in value.split(","))
+
+
+def format_ints(values: Iterable[int]) -> str:
+    return ",".join(str(v) for v in values)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataFormatError
+from .config import Field, format_fields, format_kv, parse_fields, parse_kv_text
+from .errors import ConfigError, ContractError, DataFormatError
 from .serialize import read_gten, write_gten
 
 __all__ = ["ImageBatch", "save_dataset", "load_dataset", "scores_to_labels"]
@@ -79,6 +80,9 @@ class ImageBatch:
                           self.num_classes)
 
 
+_META_FIELDS = (Field("num_classes", "num_classes", int),)
+
+
 def _paths(stem: str | Path) -> tuple[Path, Path, Path]:
     stem = Path(stem)
     return (stem.with_name(stem.name + ".gten"),
@@ -93,7 +97,7 @@ def save_dataset(batch: ImageBatch, stem: str | Path) -> list[Path]:
     rows = ["index,label"]
     rows.extend(f"{i},{int(label)}" for i, label in enumerate(batch.labels))
     labels_path.write_text("\n".join(rows) + "\n")
-    meta_path.write_text(f"num_classes = {batch.num_classes}\n")
+    meta_path.write_text(format_kv(format_fields(_META_FIELDS, batch)))
     return [tensor_path, labels_path, meta_path]
 
 
@@ -123,31 +127,22 @@ def _read_labels_csv(path: Path, expected_rows: int) -> np.ndarray:
     return labels
 
 
-def load_dataset(stem: str | Path, num_classes: int | None = None) -> ImageBatch:
-    """Load a dataset written by :func:`save_dataset`.
-
-    ``num_classes`` overrides the ``.meta`` sidecar when given; labels are
-    validated against it either way.
-    """
+def load_dataset(stem: str | Path) -> ImageBatch:
+    """Load a dataset written by :func:`save_dataset`; labels are validated
+    against the ``.meta`` sidecar's ``num_classes``."""
     tensor_path, labels_path, meta_path = _paths(stem)
     images = read_gten(tensor_path)
     if images.ndim != 4:
         raise DataFormatError(
             f"dataset tensor rank field is {images.ndim}, expected 4")
     labels = _read_labels_csv(labels_path, images.shape[0])
-    if num_classes is None:
-        if not meta_path.exists():
-            raise DataFormatError(f"missing meta file {meta_path}")
-        meta = meta_path.read_text()
-        for line in meta.splitlines():
-            if line.split("=")[0].strip() == "num_classes":
-                try:
-                    num_classes = int(line.split("=", 1)[1])
-                except ValueError as exc:
-                    raise DataFormatError(
-                        "meta num_classes field is not an integer") from exc
-        if num_classes is None:
-            raise DataFormatError("meta file missing num_classes field")
+    if not meta_path.exists():
+        raise DataFormatError(f"missing meta file {meta_path}")
+    try:
+        meta = parse_kv_text(meta_path.read_text(encoding="utf-8"))
+        num_classes = parse_fields(_META_FIELDS, meta, required=True)["num_classes"]
+    except (ConfigError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"meta file {meta_path}: {exc}") from exc
     if labels.size and labels.max() >= num_classes:
         raise DataFormatError(
             f"label field {labels.max()} outside [0, {num_classes})")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import parse_kv_text
+from .config import Field, field_keys, load_kv_file, parse_fields, parse_kv_text
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
 
@@ -100,6 +100,34 @@ def normalize_standardize(image: np.ndarray,
     return out
 
 
+def load_flip_indices(path: str | Path) -> frozenset[int]:
+    """Read a newline-separated list of integer image indices."""
+    indices = set()
+    for line_no, line in enumerate(Path(path).read_text().splitlines()):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            indices.add(int(line))
+        except ValueError as exc:
+            raise ConfigError(
+                f"flip list {path} line {line_no + 1}: not an integer") from exc
+    return frozenset(indices)
+
+
+def _parse_target_size(value: str) -> tuple[int, int]:
+    w_str, h_str = value.lower().split("x")
+    return int(w_str), int(h_str)
+
+
+def _parse_channel_stats(value: str) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    for token in value.split(","):
+        mean_str, std_str = token.split(":")
+        pairs.append((float(mean_str), float(std_str)))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class PreprocessSpec:
     """Configuration for the fixed crop/resize/flip/standardize pipeline.
@@ -113,6 +141,14 @@ class PreprocessSpec:
     target_size: tuple[int, int] | None = None
     flip_indices: frozenset[int] = frozenset()
     channel_stats: tuple[tuple[float, float], ...] | None = None
+
+    FIELDS = (
+        Field("crop_left", "crop_left", int),
+        Field("crop_right", "crop_right", int),
+        Field("target_size", "target_size", _parse_target_size),
+        Field("flip_indices", "flip_indices", load_flip_indices),
+        Field("channel_stats", "channel_stats", _parse_channel_stats),
+    )
 
     def __post_init__(self):
         if (self.crop_left is None) != (self.crop_right is None):
@@ -149,21 +185,6 @@ def apply_pipeline(spec: PreprocessSpec, batch: ImageBatch) -> ImageBatch:
     return ImageBatch(np.stack(out), batch.labels, batch.num_classes)
 
 
-def load_flip_indices(path: str | Path) -> frozenset[int]:
-    """Read a newline-separated list of integer image indices."""
-    indices = set()
-    for line_no, line in enumerate(Path(path).read_text().splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            indices.add(int(line))
-        except ValueError as exc:
-            raise ConfigError(
-                f"flip list {path} line {line_no + 1}: not an integer") from exc
-    return frozenset(indices)
-
-
 def packaged_flip_list(name: str) -> Path:
     """Path of a flip-index list shipped with the package (e.g. idrid_train)."""
     path = Path(__file__).parent / "data" / f"{name}_flips.txt"
@@ -172,8 +193,11 @@ def packaged_flip_list(name: str) -> Path:
     return path
 
 
-_SPEC_KEYS = ("crop_left", "crop_right", "target_size", "flip_indices",
-              "channel_stats")
+def _spec_from_kv(kv: dict[str, str], base_dir: Path | None) -> PreprocessSpec:
+    kv = {key: value for key, value in kv.items() if value}
+    if base_dir is not None and "flip_indices" in kv:
+        kv["flip_indices"] = str(base_dir / kv["flip_indices"])
+    return PreprocessSpec(**parse_fields(PreprocessSpec.FIELDS, kv))
 
 
 def parse_preprocess_spec(text: str, base_dir: Path | None = None) -> PreprocessSpec:
@@ -184,37 +208,10 @@ def parse_preprocess_spec(text: str, base_dir: Path | None = None) -> Preprocess
     ``flip_indices`` is a path (relative to the config file) to a
     newline-separated index list.
     """
-    kv = parse_kv_text(text, allowed_keys=_SPEC_KEYS)
-    crop_left = int(kv["crop_left"]) if kv.get("crop_left") else None
-    crop_right = int(kv["crop_right"]) if kv.get("crop_right") else None
-    target = None
-    if kv.get("target_size"):
-        try:
-            w_str, h_str = kv["target_size"].lower().split("x")
-            target = (int(w_str), int(h_str))
-        except ValueError as exc:
-            raise ConfigError(
-                f"target_size must look like 224x224, got {kv['target_size']!r}") from exc
-    flips: frozenset[int] = frozenset()
-    if kv.get("flip_indices"):
-        flip_path = Path(kv["flip_indices"])
-        if base_dir is not None and not flip_path.is_absolute():
-            flip_path = base_dir / flip_path
-        flips = load_flip_indices(flip_path)
-    stats = None
-    if kv.get("channel_stats"):
-        pairs = []
-        for token in kv["channel_stats"].split(","):
-            try:
-                mean_str, std_str = token.split(":")
-                pairs.append((float(mean_str), float(std_str)))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"channel_stats entry {token!r} must be mean:std") from exc
-        stats = tuple(pairs)
-    return PreprocessSpec(crop_left, crop_right, target, flips, stats)
+    return _spec_from_kv(
+        parse_kv_text(text, field_keys(PreprocessSpec.FIELDS)), base_dir)
 
 
 def load_preprocess_spec(path: str | Path) -> PreprocessSpec:
-    path = Path(path)
-    return parse_preprocess_spec(path.read_text(), base_dir=path.parent)
+    return _spec_from_kv(
+        load_kv_file(path, field_keys(PreprocessSpec.FIELDS)), Path(path).parent)

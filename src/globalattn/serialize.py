@@ -7,6 +7,9 @@ row-major order.
 Checkpoint: a little-endian u32 length, a UTF-8 key-value header
 (``key = value`` lines), then one length-prefixed GTEN blob per parameter
 tensor, in parameter order.  The header's ``tensors`` key gives the count.
+A model checkpoint's header also holds ``kind`` and the fields of its
+class's ``FIELDS`` table, enough to rebuild the model before its tensors
+are loaded.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .config import format_fields, format_kv, parse_fields, parse_kv_text
+from .errors import ConfigError, DataFormatError
 
 __all__ = [
     "gten_bytes",
@@ -26,6 +30,8 @@ __all__ = [
     "read_gten",
     "write_checkpoint",
     "read_checkpoint",
+    "save_model_checkpoint",
+    "load_model_checkpoint",
 ]
 
 MAGIC = b"GTEN"
@@ -73,27 +79,11 @@ def read_gten(path: str | Path) -> np.ndarray:
     return gten_from_bytes(Path(path).read_bytes())
 
 
-def _format_header(pairs: dict[str, str]) -> bytes:
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items()).encode("utf-8")
-
-
-def _parse_header(blob: bytes) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for line in blob.decode("utf-8").splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"malformed checkpoint header line: {line!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    return pairs
-
-
 def write_checkpoint(path: str | Path, header: dict[str, str],
                      tensors: list[np.ndarray]) -> None:
     pairs = dict(header)
     pairs["tensors"] = str(len(tensors))
-    head = _format_header(pairs)
+    head = format_kv(pairs).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
@@ -114,7 +104,11 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[np.ndarray]]
         return chunk
 
     (head_len,) = struct.unpack("<I", take(4, "header length"))
-    header = _parse_header(take(head_len, "header"))
+    head = take(head_len, "header")
+    try:
+        header = parse_kv_text(head.decode("utf-8"))
+    except (ConfigError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"malformed checkpoint header: {exc}") from exc
     if "tensors" not in header:
         raise DataFormatError("checkpoint header missing tensors field")
     try:
@@ -128,3 +122,36 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[np.ndarray]]
     if buf.read(1):
         raise DataFormatError("trailing bytes after last tensor blob")
     return header, tensors
+
+
+def save_model_checkpoint(model, path: str | Path) -> None:
+    """Write a model whose class declares ``KIND``, ``FIELDS`` and ``params``."""
+    header = {"kind": model.KIND, **format_fields(model.FIELDS, model)}
+    write_checkpoint(path, header, [p.data for p in model.params])
+
+
+def load_model_checkpoint(cls, path: str | Path):
+    """Rebuild a ``cls`` model saved by :func:`save_model_checkpoint`.
+
+    Every header field is required; a wrong kind, a missing or invalid
+    field, or a tensor count or shape the model does not have raises
+    :class:`DataFormatError`.
+    """
+    header, tensors = read_checkpoint(path)
+    if header.get("kind") != cls.KIND:
+        raise DataFormatError(f"checkpoint {path} is not a {cls.KIND} checkpoint")
+    try:
+        # the init draws are overwritten by the stored tensors below
+        model = cls(**parse_fields(cls.FIELDS, header, required=True),
+                    rng=np.random.default_rng(0))
+    except ConfigError as exc:
+        raise DataFormatError(f"checkpoint {path}: {exc}") from exc
+    if len(tensors) != len(model.params):
+        raise DataFormatError(
+            f"checkpoint has {len(tensors)} tensors, model needs {len(model.params)}")
+    for param, stored in zip(model.params, tensors):
+        if param.shape != stored.shape:
+            raise DataFormatError(
+                f"checkpoint tensor shape {stored.shape} != {param.shape}")
+        param.data = stored
+    return model

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import parse_kv_text
+from .config import (Field, field_keys, format_ints, load_kv_file,
+                     parse_fields, parse_ints, parse_kv_text)
 from .datasets import ImageBatch
 from .errors import ConfigError
 from .seeding import SPLIT, TEMPLATES, mix_seed, rng_for
@@ -43,7 +44,21 @@ class SyntheticSpec:
     noise_std: float
     seed: int
 
+    FIELDS = (
+        Field("N", "n", int),
+        Field("C", "c", int),
+        Field("W", "w", int),
+        Field("H", "h", int),
+        Field("relevant_region", "relevant_region", parse_ints, format_ints),
+        Field("num_classes", "num_classes", int),
+        Field("signal_strength", "signal_strength", float),
+        Field("noise_std", "noise_std", float),
+        Field("seed", "seed", int),
+    )
+
     def __post_init__(self):
+        if len(self.relevant_region) != 4:
+            raise ConfigError("relevant_region needs exactly four integers")
         if self.n < 1 or self.c < 1 or self.w < 1 or self.h < 1:
             raise ConfigError("N, C, W, H must all be >= 1")
         if self.num_classes < 2:
@@ -118,38 +133,16 @@ def split_train_test(batch: ImageBatch, train_fraction: float,
     return batch.subset(perm[:n_train]), batch.subset(perm[n_train:])
 
 
-_SPEC_KEYS = ("N", "C", "W", "H", "relevant_region", "num_classes",
-              "signal_strength", "noise_std", "seed")
-
-
 def parse_synthetic_spec(text: str) -> SyntheticSpec:
-    """Build a spec from flat ``key = value`` text.
+    """Build a spec from flat ``key = value`` text; every key of
+    ``SyntheticSpec.FIELDS`` is required.
 
     ``relevant_region`` is ``x0,y0,x1,y1`` (inclusive corners).
     """
-    kv = parse_kv_text(text, allowed_keys=_SPEC_KEYS)
-    missing = [k for k in _SPEC_KEYS if k not in kv]
-    if missing:
-        raise ConfigError(f"missing keys: {', '.join(missing)}")
-    try:
-        region = tuple(int(tok) for tok in kv["relevant_region"].split(","))
-    except ValueError as exc:
-        raise ConfigError(
-            f"relevant_region must be x0,y0,x1,y1, got {kv['relevant_region']!r}") from exc
-    if len(region) != 4:
-        raise ConfigError("relevant_region needs exactly four integers")
-    try:
-        return SyntheticSpec(
-            n=int(kv["N"]), c=int(kv["C"]), w=int(kv["W"]), h=int(kv["H"]),
-            relevant_region=region, num_classes=int(kv["num_classes"]),
-            signal_strength=float(kv["signal_strength"]),
-            noise_std=float(kv["noise_std"]), seed=int(kv["seed"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid field value: {exc}") from exc
+    kv = parse_kv_text(text, field_keys(SyntheticSpec.FIELDS))
+    return SyntheticSpec(**parse_fields(SyntheticSpec.FIELDS, kv, required=True))
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_synthetic_spec(path.read_text())
+    kv = load_kv_file(path, field_keys(SyntheticSpec.FIELDS))
+    return SyntheticSpec(**parse_fields(SyntheticSpec.FIELDS, kv, required=True))

@@ -24,7 +24,9 @@ import numpy as np
 from .attention import (AttentionModel, attention_forward,
                         attention_l1_penalty, build_pixel_representation)
 from .classifier import ClassifierModel, accuracy, classifier_forward, predict
-from .config import parse_kv_text
+from .config import (Field, field_keys, format_bool, format_fields,
+                     format_ints, load_kv_file, parse_bool, parse_fields,
+                     parse_ints, parse_kv_text)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError, DivergenceError
 from .optim import Adam
@@ -77,6 +79,27 @@ class TrainConfig:
     last_kernel: int = 1
     dense_connections: bool = False
     stages: tuple[int, ...] = (8, 16)
+
+    FIELDS = (
+        Field("K", "channels", int),
+        Field("lambda", "l1_coeff", float),
+        Field("E", "cutoff_epoch", int),
+        Field("lr", "lr", float),
+        Field("batch_size", "batch_size", int),
+        Field("weight_decay", "weight_decay", float),
+        Field("total_epochs", "total_epochs", int),
+        Field("seed", "seed", int),
+        Field("attention_mode", "attention_mode"),
+        Field("eval_protocol", "eval_protocol"),
+        Field("cv_folds", "cv_folds", int),
+        Field("top_epochs", "top_epochs", int),
+        Field("hidden_kernel", "hidden_kernel", int),
+        Field("depth", "depth", int),
+        Field("last_kernel", "last_kernel", int),
+        Field("dense_connections", "dense_connections", parse_bool,
+              format_bool),
+        Field("stages", "stages", parse_ints, format_ints),
+    )
 
     def __post_init__(self):
         if not 0 <= self.cutoff_epoch <= self.total_epochs:
@@ -344,87 +367,18 @@ def sweep_csv_text(rows: list[tuple[int, float, int, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONFIG_KEYS = ("K", "lambda", "E", "lr", "batch_size", "weight_decay",
-                "total_epochs", "seed", "attention_mode", "eval_protocol",
-                "cv_folds", "top_epochs", "hidden_kernel", "depth",
-                "last_kernel", "dense_connections", "stages")
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"{key} must be boolean-like, got {value!r}")
-
-
 def parse_train_config(text: str) -> TrainConfig:
     """Build a config from flat ``key = value`` text; absent keys keep
-    their defaults.  Keys: K, lambda, E, lr, batch_size, weight_decay,
-    total_epochs, seed, attention_mode, eval_protocol, cv_folds,
-    top_epochs, hidden_kernel, depth, last_kernel, dense_connections,
-    stages."""
-    kv = parse_kv_text(text, allowed_keys=_CONFIG_KEYS)
-    kwargs = {}
-    try:
-        if "K" in kv:
-            kwargs["channels"] = int(kv["K"])
-        if "lambda" in kv:
-            kwargs["l1_coeff"] = float(kv["lambda"])
-        if "E" in kv:
-            kwargs["cutoff_epoch"] = int(kv["E"])
-        for key, attr, conv in (("lr", "lr", float),
-                                ("batch_size", "batch_size", int),
-                                ("weight_decay", "weight_decay", float),
-                                ("total_epochs", "total_epochs", int),
-                                ("seed", "seed", int),
-                                ("cv_folds", "cv_folds", int),
-                                ("top_epochs", "top_epochs", int),
-                                ("hidden_kernel", "hidden_kernel", int),
-                                ("depth", "depth", int),
-                                ("last_kernel", "last_kernel", int)):
-            if key in kv:
-                kwargs[attr] = conv(kv[key])
-        if "attention_mode" in kv:
-            kwargs["attention_mode"] = kv["attention_mode"]
-        if "eval_protocol" in kv:
-            kwargs["eval_protocol"] = kv["eval_protocol"]
-        if "dense_connections" in kv:
-            kwargs["dense_connections"] = _parse_bool(kv["dense_connections"],
-                                                      "dense_connections")
-        if "stages" in kv:
-            kwargs["stages"] = tuple(int(s) for s in kv["stages"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-    return TrainConfig(**kwargs)
+    their defaults.  The keys are those of ``TrainConfig.FIELDS``."""
+    kv = parse_kv_text(text, field_keys(TrainConfig.FIELDS))
+    return TrainConfig(**parse_fields(TrainConfig.FIELDS, kv))
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_train_config(path.read_text())
+    kv = load_kv_file(path, field_keys(TrainConfig.FIELDS))
+    return TrainConfig(**parse_fields(TrainConfig.FIELDS, kv))
 
 
 def config_kv(cfg: TrainConfig) -> dict[str, str]:
     """The fully resolved config as manifest-ready key-value pairs."""
-    return {
-        "K": str(cfg.channels),
-        "lambda": repr(cfg.l1_coeff),
-        "E": str(cfg.cutoff_epoch),
-        "lr": repr(cfg.lr),
-        "batch_size": str(cfg.batch_size),
-        "weight_decay": repr(cfg.weight_decay),
-        "total_epochs": str(cfg.total_epochs),
-        "seed": str(cfg.seed),
-        "attention_mode": cfg.attention_mode,
-        "eval_protocol": cfg.eval_protocol,
-        "cv_folds": str(cfg.cv_folds),
-        "top_epochs": str(cfg.top_epochs),
-        "hidden_kernel": str(cfg.hidden_kernel),
-        "depth": str(cfg.depth),
-        "last_kernel": str(cfg.last_kernel),
-        "dense_connections": str(int(cfg.dense_connections)),
-        "stages": ",".join(str(s) for s in cfg.stages),
-    }
+    return format_fields(TrainConfig.FIELDS, cfg)

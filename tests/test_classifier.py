@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from globalattn.classifier import (ClassifierModel, accuracy,
                                    classifier_forward,
                                    load_classifier_checkpoint, predict,
                                    save_classifier_checkpoint)
-from globalattn.errors import ConfigError, ContractError
+from globalattn.errors import ConfigError, ContractError, DataFormatError
 from globalattn.gradcheck import finite_diff_grad, grad_discrepancy
 from globalattn.tensor import (GradientTape, Tensor, backward, broadcast_mul,
                                softmax_cross_entropy)
@@ -123,3 +125,23 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
     a = classifier_forward(model, x).data
     b = classifier_forward(back, x).data
     assert np.allclose(a, b, atol=1e-5)
+
+
+CLF_HEADER = (b"kind = classifier\nin_channels = 1\nwidth = 8\nheight = 8\n"
+              b"num_classes = 3\nstages = 4,8\ntensors = 6\n")
+
+
+@pytest.mark.parametrize("header", [
+    CLF_HEADER.replace(b"num_classes = 3\n", b""),
+    CLF_HEADER.replace(b"width = 8", b"width = 8.5"),
+    CLF_HEADER.replace(b"classifier", b"classifi\xffr"),
+], ids=["missing_field", "non_integer_field", "not_utf8"])
+def test_classifier_checkpoint_bad_header_is_format_error(tmp_path, header):
+    path = tmp_path / "clf.ckpt"
+    save_classifier_checkpoint(make_model(), path)
+    raw = path.read_bytes()
+    assert raw[4:4 + len(CLF_HEADER)] == CLF_HEADER
+    path.write_bytes(struct.pack("<I", len(header)) + header
+                     + raw[4 + len(CLF_HEADER):])
+    with pytest.raises(DataFormatError):
+        load_classifier_checkpoint(path)

@@ -139,6 +139,27 @@ def test_preprocess_malformed_input_exits_3(tmp_path, capsys):
     assert "data format error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec_bytes", [
+    b"crop_left = x\ncrop_right = 6\n",
+    b"crop_left = 1\ncrop_right = 6.5\n",
+    b"crop_left = \xff\n",
+], ids=["crop_left", "crop_right", "not_utf8"])
+def test_preprocess_malformed_spec_exits_2(tmp_path, capsys, spec_bytes):
+    out = run_gen(tmp_path)
+    spec = tmp_path / "pre.cfg"
+    spec.write_bytes(spec_bytes)
+    assert main(["preprocess", "--spec", str(spec), "--in", str(out),
+                 "--out", str(tmp_path / "p")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_preprocess_missing_spec_exits_2(tmp_path, capsys):
+    out = run_gen(tmp_path)
+    assert main(["preprocess", "--spec", str(tmp_path / "nope.cfg"),
+                 "--in", str(out), "--out", str(tmp_path / "p")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_preprocess_empty_dir_exits_3(tmp_path):
     spec = write(tmp_path / "pre.cfg", "crop_left =\ncrop_right =\n"
                  "target_size =\nflip_indices =\nchannel_stats =\n")

@@ -109,8 +109,20 @@ def test_dataset_wrong_rank_is_format_error(tmp_path):
 def test_dataset_label_outside_class_count(tmp_path):
     batch = ImageBatch(np.zeros((2, 1, 2, 2)), [0, 2], num_classes=3)
     save_dataset(batch, tmp_path / "d")
+    (tmp_path / "d.meta").write_text("num_classes = 2\n")
     with pytest.raises(DataFormatError, match="label"):
-        load_dataset(tmp_path / "d", num_classes=2)
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("meta", [
+    b"", b"num_classes = three\n", b"num_classes = \xff\n",
+], ids=["missing_field", "non_integer_field", "not_utf8"])
+def test_dataset_bad_meta_is_format_error(tmp_path, meta):
+    batch = ImageBatch(np.zeros((2, 1, 2, 2)), [0, 1], num_classes=2)
+    save_dataset(batch, tmp_path / "d")
+    (tmp_path / "d.meta").write_bytes(meta)
+    with pytest.raises(DataFormatError, match="meta"):
+        load_dataset(tmp_path / "d")
 
 
 def test_dataset_row_count_mismatch(tmp_path):
