@@ -35,7 +35,7 @@ bias = Tensor(np.zeros(2), requires_grad=True)
 
 
 def build_loss():
-    return tensor_sum(relu(conv2d(image, kernel, bias, stride=1, padding=1)))
+    return tensor_sum(relu(conv2d(image, kernel, bias, padding=1)))
 
 
 with GradientTape() as tape:

@@ -153,14 +153,13 @@ def attention_forward(model: AttentionModel, p: Tensor) -> Tensor:
     x = p
     for layer in range(model.depth - 1):
         kernel, bias = model.params[2 * layer], model.params[2 * layer + 1]
-        x = relu(conv2d(x, kernel, bias, stride=1, padding=pad))
+        x = relu(conv2d(x, kernel, bias, padding=pad))
         hidden.append(x)
         if model.dense_connections and layer + 1 < model.depth - 1:
             x = concat_channels(hidden)
     last_in = concat_channels(hidden) if model.dense_connections else hidden[-1]
     kernel, bias = model.params[-2], model.params[-1]
-    out = conv2d(last_in, kernel, bias, stride=1,
-                 padding=(model.last_kernel - 1) // 2)
+    out = conv2d(last_in, kernel, bias, padding=(model.last_kernel - 1) // 2)
     if out.shape[2:] != (model.width, model.height):
         raise ConfigError(
             f"configuration does not preserve spatial size: {out.shape}")

@@ -90,7 +90,7 @@ def classifier_forward(model: ClassifierModel, weighted: Tensor) -> Tensor:
     x = weighted
     for i in range(len(model.stages)):
         kernel, bias = model.params[2 * i], model.params[2 * i + 1]
-        x = maxpool2x2(relu(conv2d(x, kernel, bias, stride=1, padding=1)))
+        x = maxpool2x2(relu(conv2d(x, kernel, bias, padding=1)))
     return linear(flatten(x), model.params[-2], model.params[-1])
 
 

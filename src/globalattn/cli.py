@@ -19,15 +19,16 @@ import numpy as np
 from . import pipelinecheck
 from .attention import export_attention_map, save_attention_checkpoint
 from .classifier import save_classifier_checkpoint
-from .datasets import load_dataset, save_dataset
-from .errors import ConfigError, DataFormatError, DivergenceError
+from .datasets import ImageBatch, load_dataset, save_dataset
+from .errors import ConfigError, ContractError, DataFormatError, DivergenceError
 from .manifest import RunManifest
 from .preprocess import apply_pipeline, load_preprocess_spec
 from .serialize import write_gten
 from .synthetic import generate_synthetic, load_synthetic_spec, split_train_test
-from .training import (config_kv, load_train_config, sweep, sweep_csv_text,
-                       train)
-from .config import Field, field_keys, load_kv_file, parse_fields, parse_ints
+from .training import (_check_compatible, config_kv, load_train_config, sweep,
+                       sweep_csv_text, train)
+from .config import (Field, field_keys, load_kv_file, parse_fields, parse_ints,
+                     parse_size)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,12 +72,22 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    cfg = load_train_config(args.config)
-    data_dir, out = Path(args.data), Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _load_splits(data_dir: Path) -> tuple[ImageBatch, ImageBatch]:
+    """The train and test sets under ``data_dir``, checked to fit together."""
     train_set = load_dataset(data_dir / "train")
     test_set = load_dataset(data_dir / "test")
+    try:
+        _check_compatible(train_set, test_set)
+    except ContractError as exc:
+        raise DataFormatError(f"{data_dir}: {exc}") from exc
+    return train_set, test_set
+
+
+def _cmd_train(args) -> int:
+    cfg = load_train_config(args.config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    train_set, test_set = _load_splits(Path(args.data))
     report = train(train_set, test_set, cfg)
     manifest = RunManifest("train", config_kv(cfg), cfg.seed)
     report_path = out / "report.csv"
@@ -98,11 +109,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    try:
-        w_str, h_str = args.size.lower().split("x")
-        width, height = int(w_str), int(h_str)
-    except ValueError as exc:
-        raise ConfigError(f"--size must look like 8x8, got {args.size!r}") from exc
+    width, height = parse_size(args.size)
     result = pipelinecheck.full_pipeline_gradcheck(
         width=width, height=height, images=args.images, seed=args.seed,
         channels=args.channels, corrupt=args.corrupt)
@@ -123,9 +130,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_train_config(args.config)
     grid = load_kv_file(args.grid, field_keys(_GRID_FIELDS))
     values = parse_fields(_GRID_FIELDS, grid, required=True)
-    data_dir = Path(args.data)
-    train_set = load_dataset(data_dir / "train")
-    test_set = load_dataset(data_dir / "test")
+    train_set, test_set = _load_splits(Path(args.data))
     rows = sweep(train_set, test_set, cfg, **values, jobs=args.jobs)
     out_csv = Path(args.out)
     if out_csv.parent != Path(""):

@@ -19,7 +19,7 @@ from .errors import ConfigError
 
 __all__ = ["parse_kv_text", "load_kv_file", "format_kv", "Field",
            "field_keys", "parse_fields", "format_fields", "parse_bool",
-           "format_bool", "parse_ints", "format_ints"]
+           "format_bool", "parse_ints", "format_ints", "parse_size"]
 
 
 def parse_kv_text(text: str, allowed_keys: tuple[str, ...] | None = None
@@ -120,3 +120,14 @@ def parse_ints(value: str) -> tuple[int, ...]:
 
 def format_ints(values: Iterable[int]) -> str:
     return ",".join(str(v) for v in values)
+
+
+def parse_size(value: str) -> tuple[int, int]:
+    """``WxH``, e.g. ``8x8``, with both extents at least 1."""
+    try:
+        w, h = (int(v) for v in value.lower().split("x"))
+        if min(w, h) >= 1:
+            return w, h
+    except ValueError:
+        pass
+    raise ConfigError(f"expected WxH with W, H >= 1, got {value!r}")

@@ -102,7 +102,11 @@ def save_dataset(batch: ImageBatch, stem: str | Path) -> list[Path]:
 
 
 def _read_labels_csv(path: Path, expected_rows: int) -> np.ndarray:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"labels file {path} is not UTF-8 text") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "index,label":
         raise DataFormatError(f"labels file {path} missing index,label header")
     body = lines[1:]
@@ -128,8 +132,8 @@ def _read_labels_csv(path: Path, expected_rows: int) -> np.ndarray:
 
 
 def load_dataset(stem: str | Path) -> ImageBatch:
-    """Load a dataset written by :func:`save_dataset`; labels are validated
-    against the ``.meta`` sidecar's ``num_classes``."""
+    """Load a dataset written by :func:`save_dataset`; contents that
+    :class:`ImageBatch` rejects raise :class:`DataFormatError`."""
     tensor_path, labels_path, meta_path = _paths(stem)
     images = read_gten(tensor_path)
     if images.ndim != 4:
@@ -143,9 +147,7 @@ def load_dataset(stem: str | Path) -> ImageBatch:
         num_classes = parse_fields(_META_FIELDS, meta, required=True)["num_classes"]
     except (ConfigError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"meta file {meta_path}: {exc}") from exc
-    if labels.size and labels.max() >= num_classes:
-        raise DataFormatError(
-            f"label field {labels.max()} outside [0, {num_classes})")
-    if labels.size and labels.min() < 0:
-        raise DataFormatError("negative label field")
-    return ImageBatch(images, labels, num_classes)
+    try:
+        return ImageBatch(images, labels, num_classes)
+    except ContractError as exc:
+        raise DataFormatError(f"dataset {tensor_path}: {exc}") from exc

@@ -1,31 +1,33 @@
 """End-to-end gradient check of the full training cost.
 
-Builds a tiny synthetic instance, wires the pixel classifier, the broadcast
-multiply, the image classifier and the L1 penalty into one cost, and
-compares every parameter gradient produced by the tape against central
-finite differences.  This is the user-facing oracle behind the
-``gradcheck`` CLI command and the architecture-variant checks.
+Builds a tiny synthetic instance and its models the way training does
+(``build_models``), and compares every parameter gradient that the tape
+produces for ``compute_cost`` against central finite differences.  This is
+the user-facing oracle behind the ``gradcheck`` CLI command and the
+architecture-variant checks.
 
 Central differences are only a valid oracle where the cost is smooth, so
-the evaluation point is conditioned first: hidden biases are shifted until
-no ReLU input sits inside the perturbation window, and instances whose
-max-pool windows hold a near-tie are redrawn (deterministically) until the
-margins clear.  The backward rules under test are never touched by this.
+the evaluation point is conditioned first, on the forward pass that
+training runs: every bias that feeds a ReLU is shifted, in forward order,
+until none of its preactivations sits inside the perturbation window, and
+instances whose max-pool windows hold a near-tie are redrawn
+(deterministically) until the margins clear.  The backward rules under test
+are never touched by this.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttentionModel, build_pixel_representation
+from .attention import AttentionModel
 from .classifier import ClassifierModel
+from .datasets import ImageBatch
 from .errors import ConfigError
 from .gradcheck import GradCheckResult, finite_diff_grad, grad_discrepancy
-from .seeding import ATTENTION_INIT, CLASSIFIER_INIT, mix_seed, rng_for, stream_tag
+from .seeding import mix_seed, stream_tag
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tensor import (GradientTape, Tensor, backward, concat_channels, conv2d,
-                     maxpool2x2, relu)
-from .training import compute_cost
+from .tensor import GradientTape, Tensor, backward
+from .training import TrainConfig, build_models, compute_cost
 
 __all__ = ["full_pipeline_gradcheck"]
 
@@ -48,20 +50,6 @@ def _clearing_shift(preacts: np.ndarray, margin: float) -> float | None:
     return None
 
 
-def _fix_conv_relu(x: Tensor, kernel: Tensor, bias: Tensor, padding: int,
-                   h: float) -> Tensor | None:
-    """Shift ``bias`` per channel to clear ReLU margins; return activations."""
-    margin = 2.5 * h * (1.0 + float(np.abs(x.data).max()))
-    pre = conv2d(x, kernel, bias, stride=1, padding=padding)
-    for ch in range(pre.shape[1]):
-        shift = _clearing_shift(pre.data[:, ch], margin)
-        if shift is None:
-            return None
-        if shift:
-            bias.data[ch] += shift
-    return relu(conv2d(x, kernel, bias, stride=1, padding=padding))
-
-
 def _pool_gaps_clear(activations: Tensor, margin: float) -> bool:
     """True when every pool window's top two entries are separated by margin.
 
@@ -79,34 +67,56 @@ def _pool_gaps_clear(activations: Tensor, margin: float) -> bool:
     return bool((gap[contested] >= margin).all()) if contested.any() else True
 
 
-def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
-                        p: Tensor, images: np.ndarray, h: float) -> bool:
-    """Make the evaluation point locally smooth; False if pools stay tied."""
-    x = p
-    hidden: list[Tensor] = []
-    pad = (attention.hidden_kernel - 1) // 2
-    for layer in range(attention.depth - 1):
-        kernel, bias = (attention.params[2 * layer],
-                        attention.params[2 * layer + 1])
-        act = _fix_conv_relu(x, kernel, bias, pad, h)
-        if act is None:
-            return False
-        hidden.append(act)
-        x = (concat_channels(hidden)
-             if attention.dense_connections and layer + 1 < attention.depth - 1
-             else act)
+def _taped_forward(attention: AttentionModel, classifier: ClassifierModel,
+                   p: Tensor, batch: ImageBatch) -> dict:
+    """Tape records of ``compute_cost``'s forward pass, by last input id."""
+    with GradientTape() as tape:
+        compute_cost(Tensor(batch.images), batch.labels, attention, classifier,
+                     p, 0.0)
+    return {id(rec.inputs[-1]): rec for rec in tape._records}
 
-    from .attention import attention_forward
-    weighted = Tensor(images * attention_forward(attention, p).data)
-    x = weighted
-    for i in range(len(classifier.stages)):
-        kernel, bias = classifier.params[2 * i], classifier.params[2 * i + 1]
-        margin = 2.5 * h * (1.0 + float(np.abs(x.data).max()))
-        act = _fix_conv_relu(x, kernel, bias, 1, h)
-        if act is None or not _pool_gaps_clear(act, margin):
-            return False
-        x = maxpool2x2(act)
+
+def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
+                        p: Tensor, batch: ImageBatch, h: float) -> bool:
+    """Make the evaluation point locally smooth; False if pools stay tied.
+
+    Visits every bias that feeds a ReLU in forward order, re-running the
+    forward pass each time so that later layers see the shifted
+    activations.  The conv record whose last input is the bias gives the
+    conv input and the preactivations that the shift must clear.
+    """
+    stage_biases = classifier.params[1:-2:2]
+    for bias in attention.params[1:-2:2] + stage_biases:
+        conv = _taped_forward(attention, classifier, p, batch)[id(bias)]
+        margin = 2.5 * h * (1.0 + float(np.abs(conv.inputs[0].data).max()))
+        for ch in range(bias.size):
+            shift = _clearing_shift(conv.output.data[:, ch], margin)
+            if shift is None:
+                return False
+            bias.data[ch] += shift
+        if bias in stage_biases:
+            records = _taped_forward(attention, classifier, p, batch)
+            activations = records[id(records[id(bias)].output)].output
+            if not _pool_gaps_clear(activations, margin):
+                return False
     return True
+
+
+def _draw_instance(batch: ImageBatch, seed: int, h: float, **arch
+                   ) -> tuple[AttentionModel, ClassifierModel, Tensor, float]:
+    """Models built as training builds them from ``arch`` (``TrainConfig``
+    fields), conditioned at the first step that admits a smooth instance."""
+    # Larger instances hold more pool windows, so near-ties get ever more
+    # likely at a fixed step; shrinking h shrinks the flip window while fp64
+    # central differences stay far more accurate than the tolerance.
+    for h_try in (h, h * 0.1, h * 0.01):
+        for attempt in range(_MAX_REDRAWS):
+            cfg = TrainConfig(seed=mix_seed(seed, _REDRAW + attempt), **arch)
+            attention, classifier, p = build_models(batch, cfg)
+            if _condition_instance(attention, classifier, p, batch, h_try):
+                return attention, classifier, p, h_try
+    raise ConfigError(
+        "could not draw a locally smooth check instance; adjust the seed")
 
 
 def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
@@ -138,37 +148,11 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
                          relevant_region=region, num_classes=3,
                          signal_strength=1.0, noise_std=1.0, seed=seed)
     batch, _ = generate_synthetic(spec)
-    p = build_pixel_representation(batch)
     stages = (4, 8) if width % 4 == 0 and height % 4 == 0 else (4,)
-
-    # Larger instances hold more pool windows, so near-ties get ever more
-    # likely at a fixed step; shrinking h shrinks the flip window while fp64
-    # central differences stay far more accurate than the tolerance.
-    attention = classifier = None
-    h_used = None
-    for h_try in (h, h * 0.1, h * 0.01):
-        for attempt in range(_MAX_REDRAWS):
-            sub = mix_seed(seed, _REDRAW + attempt)
-            attention = AttentionModel(
-                "pixel_cnn", in_channels=batch.n * batch.c, width=width,
-                height=height, channels=channels, hidden_kernel=hidden_kernel,
-                depth=depth, last_kernel=last_kernel,
-                dense_connections=dense_connections,
-                rng=rng_for(sub, ATTENTION_INIT))
-            classifier = ClassifierModel(
-                in_channels=1, width=width, height=height, num_classes=3,
-                stages=stages, rng=rng_for(sub, CLASSIFIER_INIT))
-            if _condition_instance(attention, classifier, p, batch.images,
-                                   h_try):
-                h_used = h_try
-                break
-        if h_used is not None:
-            break
-    if h_used is None:
-        raise ConfigError(
-            "could not draw a locally smooth check instance; adjust the seed")
-    h = h_used
-
+    attention, classifier, p, h = _draw_instance(
+        batch, seed, h, channels=channels, hidden_kernel=hidden_kernel,
+        depth=depth, last_kernel=last_kernel,
+        dense_connections=dense_connections, stages=stages)
     images_t = Tensor(batch.images)
 
     def cost_value(_=None) -> float:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Field, field_keys, load_kv_file, parse_fields, parse_kv_text
+from .config import (Field, field_keys, load_kv_file, parse_fields,
+                     parse_kv_text, parse_size)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
 
@@ -102,8 +103,12 @@ def normalize_standardize(image: np.ndarray,
 
 def load_flip_indices(path: str | Path) -> frozenset[int]:
     """Read a newline-separated list of integer image indices."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"flip list not found: {path}")
     indices = set()
-    for line_no, line in enumerate(Path(path).read_text().splitlines()):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -111,13 +116,8 @@ def load_flip_indices(path: str | Path) -> frozenset[int]:
             indices.add(int(line))
         except ValueError as exc:
             raise ConfigError(
-                f"flip list {path} line {line_no + 1}: not an integer") from exc
+                f"flip list {path} line {line_no}: not an integer") from exc
     return frozenset(indices)
-
-
-def _parse_target_size(value: str) -> tuple[int, int]:
-    w_str, h_str = value.lower().split("x")
-    return int(w_str), int(h_str)
 
 
 def _parse_channel_stats(value: str) -> tuple[tuple[float, float], ...]:
@@ -145,7 +145,7 @@ class PreprocessSpec:
     FIELDS = (
         Field("crop_left", "crop_left", int),
         Field("crop_right", "crop_right", int),
-        Field("target_size", "target_size", _parse_target_size),
+        Field("target_size", "target_size", parse_size),
         Field("flip_indices", "flip_indices", load_flip_indices),
         Field("channel_stats", "channel_stats", _parse_channel_stats),
     )

@@ -307,28 +307,27 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 # convolution / pooling / linear
 # ---------------------------------------------------------------------------
 
-def conv2d_output_size(size: int, k: int, stride: int, padding: int) -> int:
-    """Output extent of one spatial axis: (size + 2*padding - k) // stride + 1."""
-    return (size + 2 * padding - k) // stride + 1
+def conv2d_output_size(size: int, k: int, padding: int) -> int:
+    """Output extent of one spatial axis: size + 2*padding - k + 1."""
+    return size + 2 * padding - k + 1
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, wo: int, ho: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, wo: int, ho: int) -> np.ndarray:
     b, c = xp.shape[:2]
     col = np.empty((b, c, k, k, wo, ho), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            col[:, :, i, j] = xp[:, :, i:i + wo * stride:stride,
-                                 j:j + ho * stride:stride]
+            col[:, :, i, j] = xp[:, :, i:i + wo, j:j + ho]
     return col
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *,
+           padding: int = 0) -> Tensor:
+    """2-D cross-correlation with stride 1 and zero padding.
 
     ``x`` is (B, Cin, W, H), ``kernel`` is (Cout, Cin, k, k) with k odd,
     ``bias`` is (Cout,).  out[b,o,x,y] = bias[o] +
-    sum_{c,i,j} x[b,c,x*stride+i-padding, y*stride+j-padding] * kernel[o,c,i,j],
+    sum_{c,i,j} x[b,c,x+i-padding, y+j-padding] * kernel[o,c,i,j],
     reading out-of-range input as zero.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -344,22 +343,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             f"conv2d: input has {cin} channels but kernel expects {kc}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-    if stride < 1:
-        raise ConfigError(f"conv2d: stride must be positive, got {stride}")
     if padding < 0:
         raise ConfigError(f"conv2d: padding must be >= 0, got {padding}")
     if w + 2 * padding < k or h + 2 * padding < k:
         raise ShapeError(
             f"conv2d: {w}x{h} input too small for kernel {k} at padding {padding}")
 
-    wo = conv2d_output_size(w, k, stride, padding)
-    ho = conv2d_output_size(h, k, stride, padding)
+    wo = conv2d_output_size(w, k, padding)
+    ho = conv2d_output_size(h, k, padding)
     if padding > 0:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
                              (padding, padding)))
     else:
         xp = x.data
-    col = _im2col(xp, k, stride, wo, ho)
+    col = _im2col(xp, k, wo, ho)
     colm = col.reshape(b, cin * k * k, wo * ho)
     km = kernel.data.reshape(cout, cin * k * k)
     out = np.matmul(km, colm).reshape(b, cout, wo, ho)
@@ -377,8 +374,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             gxp = np.zeros_like(xp)
             for i in range(k):
                 for j in range(k):
-                    gxp[:, :, i:i + wo * stride:stride,
-                        j:j + ho * stride:stride] += dcol[:, :, i, j]
+                    gxp[:, :, i:i + wo, j:j + ho] += dcol[:, :, i, j]
             if padding > 0:
                 gxp = gxp[:, :, padding:padding + w, padding:padding + h]
             _accumulate(x, gxp)

@@ -228,13 +228,13 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
     def current_map() -> np.ndarray:
         return attention_forward(attention, p).data
 
-    snapshots = {0: current_map().copy()}
+    map_now = current_map()
+    snapshots = {0: map_now.copy()}
     rows: list[EpochRow] = []
-    frozen_map: Tensor | None = None
     for epoch in range(1, cfg.total_epochs + 1):
         joint = epoch <= cfg.cutoff_epoch and opt_m is not None
-        if not joint and frozen_map is None:
-            frozen_map = Tensor(current_map())
+        # after the last joint epoch the map no longer changes
+        frozen_map = None if joint else Tensor(map_now)
         order = shuffle_rng.permutation(train_set.n)
         loss_sum = 0.0
         for start in range(0, train_set.n, cfg.batch_size):
@@ -244,7 +244,7 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
             with GradientTape() as tape:
                 cost = compute_cost(xb, yb, attention, classifier, p,
                                     cfg.l1_coeff,
-                                    weight_map=None if joint else frozen_map)
+                                    weight_map=frozen_map)
             if not np.isfinite(cost.data).all():
                 raise DivergenceError(epoch)
             backward(cost, tape)
@@ -253,7 +253,8 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
                 opt_m.step()
             tape.clear()
             loss_sum += cost.item() * len(idx)
-        map_now = frozen_map.data if frozen_map is not None else current_map()
+        if joint:
+            map_now = current_map()
         rows.append(EpochRow(
             epoch=epoch,
             train_loss=loss_sum / train_set.n,
@@ -263,9 +264,7 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
                                     cfg.batch_size),
             l1_penalty=float(
                 attention_l1_penalty(attention, Tensor(map_now)).data)))
-        if epoch == cfg.cutoff_epoch:
-            snapshots[epoch] = map_now.copy()
-        if epoch == cfg.total_epochs:
+        if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
             snapshots[epoch] = map_now.copy()
     return TrainReport(rows, snapshots, final_models=(attention, classifier))
 

@@ -3,8 +3,8 @@ import pytest
 
 from globalattn.cli import main
 from globalattn.config import load_kv_file
-from globalattn.datasets import load_dataset
-from globalattn.serialize import read_gten
+from globalattn.datasets import ImageBatch, load_dataset, save_dataset
+from globalattn.serialize import read_gten, write_gten
 
 SYNTH_SPEC = """\
 N = 30
@@ -160,6 +160,18 @@ def test_preprocess_missing_spec_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec_text", [
+    "target_size = 0x4\n",
+    "flip_indices = nope.txt\n",
+], ids=["zero_target_size", "missing_flip_list"])
+def test_preprocess_bad_spec_value_exits_2(tmp_path, capsys, spec_text):
+    out = run_gen(tmp_path)
+    spec = write(tmp_path / "pre.cfg", spec_text)
+    assert main(["preprocess", "--spec", spec, "--in", str(out),
+                 "--out", str(tmp_path / "p")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_preprocess_empty_dir_exits_3(tmp_path):
     spec = write(tmp_path / "pre.cfg", "crop_left =\ncrop_right =\n"
                  "target_size =\nflip_indices =\nchannel_stats =\n")
@@ -235,6 +247,39 @@ def test_train_divergence_exits_4(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
     assert code == 4
     assert "epoch" in capsys.readouterr().err
+
+
+def nan_pixel(data):
+    images = read_gten(data / "train.gten")
+    images[0, 0, 0, 0] = np.nan
+    write_gten(data / "train.gten", images)
+
+
+def non_utf8_labels(data):
+    path = data / "train.labels.csv"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+def narrower_test_split(data):
+    test = load_dataset(data / "test")
+    save_dataset(ImageBatch(test.images[:, :, :4], test.labels,
+                            test.num_classes), data / "test")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("damage", [nan_pixel, non_utf8_labels,
+                                    narrower_test_split],
+                         ids=lambda fn: fn.__name__)
+def test_malformed_data_exits_3(tmp_path, capsys, damage, command):
+    data = run_gen(tmp_path)
+    damage(data)
+    cfg = write(tmp_path / "train.cfg", TRAIN_CFG)
+    out = ["--out", str(tmp_path / "run")]
+    if command == "sweep":
+        grid = write(tmp_path / "grid.cfg", "K = 4\nlambda = 0.03\nE = 2\n")
+        out = ["--grid", grid, "--out", str(tmp_path / "s.csv")]
+    assert main([command, "--config", cfg, "--data", str(data), *out]) == 3
+    assert "data format error" in capsys.readouterr().err
 
 
 def test_train_unknown_config_key_exits_2(tmp_path):

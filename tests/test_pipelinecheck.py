@@ -1,0 +1,31 @@
+import numpy as np
+import pytest
+
+from globalattn.pipelinecheck import _draw_instance
+from globalattn.synthetic import SyntheticSpec, generate_synthetic
+from globalattn.tensor import GradientTape, Tensor
+from globalattn.training import compute_cost
+
+
+@pytest.mark.parametrize("arch", [{}, {"dense_connections": True, "depth": 4}],
+                         ids=["default", "dense_depth4"])
+def test_conditioning_clears_every_relu_input(arch):
+    # the default gradcheck instance: 2 images of 8x8, seed 0, 4 channels
+    spec = SyntheticSpec(n=2, c=1, w=8, h=8, relevant_region=(1, 1, 4, 4),
+                         num_classes=3, signal_strength=1.0, noise_std=1.0,
+                         seed=0)
+    batch, _ = generate_synthetic(spec)
+    attention, classifier, p, h = _draw_instance(
+        batch, 0, 1e-3, channels=4, stages=(4, 8), **arch)
+
+    relu_biases = attention.params[1:-2:2] + classifier.params[1:-2:2]
+    with GradientTape() as tape:
+        compute_cost(Tensor(batch.images), batch.labels, attention, classifier,
+                     p, 0.05)
+    convs = [rec for rec in tape._records
+             if any(rec.inputs[-1] is b for b in relu_biases)]
+    assert len(convs) == attention.depth - 1 + len(classifier.stages)
+    for rec in convs:
+        margin = 2.5 * h * (1.0 + np.abs(rec.inputs[0].data).max())
+        # slack for the rounding of the shifted bias inside the conv sum
+        assert np.abs(rec.output.data).min() >= margin * (1.0 - 1e-9)

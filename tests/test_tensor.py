@@ -33,7 +33,7 @@ def fd_check(build, params, h=1e-5, tol=1e-6):
 def test_conv_zero_input_gives_zero_output():
     x = Tensor(np.zeros((1, 1, 3, 3)))
     k = Tensor(np.random.default_rng(0).standard_normal((1, 1, 3, 3)))
-    out = conv2d(x, k, Tensor(np.zeros(1)), stride=1, padding=1)
+    out = conv2d(x, k, Tensor(np.zeros(1)), padding=1)
     assert out.shape == (1, 1, 3, 3)
     assert np.array_equal(out.data, np.zeros((1, 1, 3, 3)))
 
@@ -43,7 +43,7 @@ def test_conv_center_one_all_ones_kernel():
     x = np.zeros((1, 1, 3, 3))
     x[0, 0, 1, 1] = 1.0
     out = conv2d(Tensor(x), Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)),
-                 stride=1, padding=1)
+                 padding=1)
     assert np.array_equal(out.data, np.ones((1, 1, 3, 3)))
     ref = conv2d_reference(x, np.ones((1, 1, 3, 3)), np.zeros(1), 1, 1)
     assert np.array_equal(out.data, ref)
@@ -53,47 +53,47 @@ def test_conv_preserves_spatial_size_for_stacked_input():
     nc, w, h, kk = 6, 5, 7, 4
     x = Tensor(np.random.default_rng(1).standard_normal((1, nc, w, h)))
     kernel = Tensor(np.random.default_rng(2).standard_normal((kk, nc, 3, 3)))
-    out = conv2d(x, kernel, Tensor(np.zeros(kk)), stride=1, padding=1)
+    out = conv2d(x, kernel, Tensor(np.zeros(kk)), padding=1)
     assert out.shape == (1, kk, w, h)
 
 
 def test_conv_matches_reference_on_random_cases():
     rng = np.random.default_rng(3)
-    for stride, padding, k in [(1, 0, 3), (1, 1, 3), (2, 1, 3), (1, 2, 5),
-                               (2, 0, 1)]:
+    for padding, k in [(0, 3), (1, 3), (2, 5), (0, 1)]:
         x = rng.standard_normal((2, 3, 7, 6))
         kern = rng.standard_normal((4, 3, k, k))
         bias = rng.standard_normal(4)
-        out = conv2d(Tensor(x), Tensor(kern), Tensor(bias), stride, padding)
-        ref = conv2d_reference(x, kern, bias, stride, padding)
+        out = conv2d(Tensor(x), Tensor(kern), Tensor(bias), padding=padding)
+        ref = conv2d_reference(x, kern, bias, padding=padding)
         assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
 @pytest.mark.parametrize("padding", [0, 1, 2, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_output_shape_formula(k, padding, stride):
+@pytest.mark.parametrize("batch", [1, 2])
+def test_conv_output_shape_formula(k, padding, batch):
     w, h = 11, 9
     if w + 2 * padding < k or h + 2 * padding < k:
         pytest.skip("window larger than padded input")
-    x = Tensor(np.zeros((1, 2, w, h)))
+    x = Tensor(np.zeros((batch, 2, w, h)))
     kern = Tensor(np.zeros((3, 2, k, k)))
-    out = conv2d(x, kern, Tensor(np.zeros(3)), stride, padding)
-    assert out.shape == (1, 3, conv2d_output_size(w, k, stride, padding),
-                         conv2d_output_size(h, k, stride, padding))
+    out = conv2d(x, kern, Tensor(np.zeros(3)), padding=padding)
+    assert out.shape == (batch, 3, conv2d_output_size(w, k, padding),
+                         conv2d_output_size(h, k, padding))
 
 
 def test_conv_channel_mismatch_raises():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     kern = Tensor(np.zeros((2, 4, 3, 3)))
     with pytest.raises(ShapeError):
-        conv2d(x, kern, Tensor(np.zeros(2)), 1, 1)
+        conv2d(x, kern, Tensor(np.zeros(2)), padding=1)
 
 
 def test_conv_even_kernel_raises():
     x = Tensor(np.zeros((1, 1, 4, 4)))
     with pytest.raises(ConfigError):
-        conv2d(x, Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros(1)), 1, 1)
+        conv2d(x, Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros(1)),
+               padding=1)
 
 
 def test_conv_linear_in_input():
@@ -102,9 +102,9 @@ def test_conv_linear_in_input():
     bias = Tensor(np.zeros(2))
     a = rng.standard_normal((1, 2, 5, 5))
     b = rng.standard_normal((1, 2, 5, 5))
-    out_sum = conv2d(Tensor(a + b), kern, bias, 1, 1).data
-    out_a = conv2d(Tensor(a), kern, bias, 1, 1).data
-    out_b = conv2d(Tensor(b), kern, bias, 1, 1).data
+    out_sum = conv2d(Tensor(a + b), kern, bias, padding=1).data
+    out_a = conv2d(Tensor(a), kern, bias, padding=1).data
+    out_b = conv2d(Tensor(b), kern, bias, padding=1).data
     assert np.allclose(out_sum, out_a + out_b, rtol=1e-12, atol=1e-12)
 
 
@@ -113,8 +113,8 @@ def test_conv_backward_matches_finite_differences():
     x = Tensor(rng.standard_normal((2, 2, 6, 5)), requires_grad=True)
     kern = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3, requires_grad=True)
     bias = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
-    fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias, 2, 1),
-                                    conv2d(x, kern, bias, 2, 1))),
+    fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias, padding=1),
+                                    conv2d(x, kern, bias, padding=1))),
              [x, kern, bias])
 
 
@@ -442,7 +442,7 @@ def test_forward_and_backward_bitwise_deterministic():
                       requires_grad=True)
         bias = Tensor(np.zeros(4), requires_grad=True)
         with GradientTape() as tape:
-            out = maxpool2x2(relu(conv2d(x, kern, bias, 1, 1)))
+            out = maxpool2x2(relu(conv2d(x, kern, bias, padding=1)))
             loss = softmax_cross_entropy(linear(flatten(out),
                                                 Tensor(np.ones((64, 2)) * 0.1,
                                                        requires_grad=True),
