@@ -26,6 +26,7 @@ print("crop:", image.shape, "->", cropped.shape)
 small = resize_area(cropped, (224, 224))
 print("resize:", cropped.shape, "->", small.shape,
       f"(global mean drifts {abs(small.mean() - cropped.mean()):.2e})")
+del cropped  # free the 234 MB crop before the batch run below
 
 # 3. right-eye images are mirrored so both eyes share one orientation
 flipped = hflip(small)
@@ -42,7 +43,7 @@ print(f"standardized channel means: {final.mean(axis=(1, 2)).round(3)}")
 train_flips = load_flip_indices(packaged_flip_list("idrid_train"))
 print(f"packaged right-eye flip list: {len(train_flips)} training images")
 
-batch = ImageBatch(np.stack([image[:, :, :2848]]), [0], num_classes=1)
+batch = ImageBatch(image[None], [0], num_classes=1)
 spec = PreprocessSpec(crop_left=260, crop_right=3685, target_size=(224, 224),
                       flip_indices=frozenset({0}), channel_stats=stats)
 out = apply_pipeline(spec, batch)

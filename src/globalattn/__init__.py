@@ -12,9 +12,9 @@ from .attention import (AttentionModel, attention_forward,
 from .classifier import ClassifierModel, accuracy, classifier_forward, predict
 from .datasets import ImageBatch, load_dataset, save_dataset
 from .errors import (ConfigError, ContractError, DataFormatError,
-                     DivergenceError, ShapeError)
+                     DivergenceError)
 from .gradcheck import finite_diff_grad, grad_discrepancy
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .pipelinecheck import full_pipeline_gradcheck
 from .preprocess import (PreprocessSpec, apply_pipeline, crop_columns, hflip,
                          normalize_standardize, resize_area)

@@ -26,7 +26,6 @@ import numpy as np
 from .config import Field, format_bool, parse_bool
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
-from .serialize import load_model_checkpoint, save_model_checkpoint
 from .tensor import (Tensor, concat_channels, conv2d, l1_mean, relu, sigmoid)
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "attention_forward",
     "attention_l1_penalty",
     "export_attention_map",
-    "save_attention_checkpoint",
-    "load_attention_checkpoint",
 ]
 
 MODES = ("pixel_cnn", "l1_pixel_weights", "none")
@@ -88,8 +85,10 @@ class AttentionModel:
                  rng: np.random.Generator | None = None):
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        if channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {channels}")
+        for name, size in (("in_channels", in_channels), ("width", width),
+                           ("height", height), ("channels", channels)):
+            if size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
         if depth < 2:
             raise ConfigError(f"depth must be >= 2, got {depth}")
         for name, k in (("hidden_kernel", hidden_kernel),
@@ -209,11 +208,3 @@ def export_attention_map(weight_map: Tensor | np.ndarray,
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     pgm_path.write_bytes(header + pixels.T.tobytes())
     return [csv_path, pgm_path]
-
-
-def save_attention_checkpoint(model: AttentionModel, path: str | Path) -> None:
-    save_model_checkpoint(model, path)
-
-
-def load_attention_checkpoint(path: str | Path) -> AttentionModel:
-    return load_model_checkpoint(AttentionModel, path)

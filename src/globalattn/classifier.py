@@ -9,14 +9,12 @@ meant to mitigate.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .config import Field, format_ints, parse_ints
 from .errors import ConfigError, ContractError
-from .serialize import load_model_checkpoint, save_model_checkpoint
 from .tensor import Tensor, conv2d, flatten, linear, maxpool2x2, relu
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "classifier_forward",
     "predict",
     "accuracy",
-    "save_classifier_checkpoint",
-    "load_classifier_checkpoint",
 ]
 
 
@@ -47,8 +43,11 @@ class ClassifierModel:
         stages = tuple(stages)
         if not stages:
             raise ConfigError("classifier needs at least one stage")
-        if num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {num_classes}")
+        for name, size in (("in_channels", in_channels), ("width", width),
+                           ("height", height), ("num_classes", num_classes),
+                           *(("stage width", s) for s in stages)):
+            if size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
         factor = 2 ** len(stages)
         if width % factor or height % factor:
             raise ConfigError(
@@ -110,11 +109,3 @@ def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
     if preds.size == 0:
         raise ContractError("accuracy of an empty prediction list")
     return 100.0 * float((preds == truth).mean())
-
-
-def save_classifier_checkpoint(model: ClassifierModel, path: str | Path) -> None:
-    save_model_checkpoint(model, path)
-
-
-def load_classifier_checkpoint(path: str | Path) -> ClassifierModel:
-    return load_model_checkpoint(ClassifierModel, path)

@@ -14,16 +14,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import pipelinecheck
-from .attention import export_attention_map, save_attention_checkpoint
-from .classifier import save_classifier_checkpoint
+from .attention import export_attention_map
 from .datasets import ImageBatch, load_dataset, save_dataset
 from .errors import ConfigError, ContractError, DataFormatError, DivergenceError
 from .manifest import RunManifest
 from .preprocess import apply_pipeline, load_preprocess_spec
-from .serialize import write_gten
+from .serialize import save_model_checkpoint, write_gten
 from .synthetic import generate_synthetic, load_synthetic_spec, split_train_test
 from .training import (_check_compatible, config_kv, load_train_config, sweep,
                        sweep_csv_text, train)
@@ -63,10 +60,12 @@ def _cmd_preprocess(args) -> int:
     if not stems:
         raise DataFormatError(f"no train.gten or test.gten under {in_dir}")
     manifest = RunManifest("preprocess", load_kv_file(args.spec), None)
-    for stem in stems:
-        batch = load_dataset(in_dir / stem)
-        processed = apply_pipeline(spec, batch)
-        manifest.add_artifacts(save_dataset(processed, out / stem))
+    # every split is processed before any is written, so a failure leaves
+    # no partial output behind
+    processed = [apply_pipeline(spec, load_dataset(in_dir / stem))
+                 for stem in stems]
+    for stem, batch in zip(stems, processed):
+        manifest.add_artifacts(save_dataset(batch, out / stem))
     manifest.write(out / "manifest.txt")
     print(f"preprocessed {', '.join(stems)} into {out}")
     return EXIT_OK
@@ -91,15 +90,15 @@ def _cmd_train(args) -> int:
     report = train(train_set, test_set, cfg)
     manifest = RunManifest("train", config_kv(cfg), cfg.seed)
     report_path = out / "report.csv"
-    report.write_csv(report_path)
+    report_path.write_text(report.csv_text())
     manifest.add_artifact(report_path)
     for epoch, snap in sorted(report.snapshots.items()):
         manifest.add_artifacts(
             export_attention_map(snap, out / f"attention_epoch{epoch}"))
     attention, classifier = report.final_models
     attn_path, clf_path = out / "attention.ckpt", out / "classifier.ckpt"
-    save_attention_checkpoint(attention, attn_path)
-    save_classifier_checkpoint(classifier, clf_path)
+    save_model_checkpoint(attention, attn_path)
+    save_model_checkpoint(classifier, clf_path)
     manifest.add_artifacts([attn_path, clf_path])
     manifest.write(out / "manifest.txt")
     last = report.rows[-1]

@@ -17,20 +17,7 @@ from .config import Field, format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, ContractError, DataFormatError
 from .serialize import read_gten, write_gten
 
-__all__ = ["ImageBatch", "save_dataset", "load_dataset", "scores_to_labels"]
-
-
-def scores_to_labels(scores) -> np.ndarray:
-    """Assign each row the class with the largest score.
-
-    For datasets that rate every image on several categories (e.g. averaged
-    emotion ratings), the label is the highest-rated category; ties resolve
-    to the lowest index.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ContractError(f"scores must be (N, K), got rank {scores.ndim}")
-    return scores.argmax(axis=1).astype(np.int64)
+__all__ = ["ImageBatch", "save_dataset", "load_dataset"]
 
 
 @dataclass

@@ -1,12 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes: ConfigError -> 2,
-DataFormatError -> 3, DivergenceError -> 4.
+DataFormatError -> 3, DivergenceError -> 4.  A ContractError is a
+programming error (a bad operand shape, an out-of-range label, an empty
+batch) and has no exit code of its own.
 """
-
-
-class ShapeError(ValueError):
-    """Operands have incompatible dimensions."""
 
 
 class ConfigError(ValueError):
@@ -14,7 +12,7 @@ class ConfigError(ValueError):
 
 
 class ContractError(ValueError):
-    """A caller violated an operation's precondition."""
+    """A caller violated an operation's precondition, operand shapes included."""
 
 
 class DataFormatError(ValueError):

@@ -1,8 +1,8 @@
 """Adam optimizer with classic L2-style weight decay.
 
 Weight decay is added to the gradient before the moment updates (it is not
-decoupled from them).  ``adam_step`` never touches the gradient buffers;
-callers zero them between steps.
+decoupled from them).  ``Adam.step`` never touches the gradient buffers;
+callers zero them between steps with ``GradientTape.clear()``.
 """
 
 from __future__ import annotations
@@ -12,58 +12,40 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
-__all__ = ["AdamState", "adam_step", "Adam"]
+__all__ = ["BETAS", "EPS", "Adam"]
 
-
-class AdamState:
-    """First and second moment buffers for one parameter tensor."""
-
-    __slots__ = ("m", "v")
-
-    def __init__(self, param: Tensor):
-        self.m = np.zeros_like(param.data)
-        self.v = np.zeros_like(param.data)
-
-
-def adam_step(params: list[Tensor], states: list[AdamState], lr: float,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              weight_decay: float = 0.0, t: int = 1) -> None:
-    """Apply one bias-corrected Adam update at step count ``t`` (>= 1)."""
-    if t < 1:
-        raise ContractError(f"adam_step: step count must be >= 1, got {t}")
-    b1, b2 = betas
-    for p, s in zip(params, states):
-        if p.grad is None:
-            raise ContractError("adam_step: parameter has no gradient")
-        g = p.grad + weight_decay * p.data if weight_decay else p.grad
-        s.m *= b1
-        s.m += (1.0 - b1) * g
-        s.v *= b2
-        s.v += (1.0 - b2) * np.square(g)
-        m_hat = s.m / (1.0 - b1 ** t)
-        v_hat = s.v / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+BETAS = (0.9, 0.999)
+EPS = 1e-8
 
 
 class Adam:
-    """Stateful wrapper tying parameters to their moment buffers."""
+    """Bias-corrected Adam over a fixed parameter list.
+
+    ``m`` and ``v`` hold the first and second moment buffers, one per
+    parameter; ``t`` counts the steps taken.
+    """
 
     def __init__(self, params: list[Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.states = [AdamState(p) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """Apply one update from the current gradients."""
         self.t += 1
-        adam_step(self.params, self.states, self.lr, self.betas, self.eps,
-                  self.weight_decay, self.t)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        b1, b2 = BETAS
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                raise ContractError("Adam.step: parameter has no gradient")
+            g = p.grad + self.weight_decay * p.data if self.weight_decay else p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -8,9 +8,11 @@ tensor consumed by k operations receives the sum of k contributions.
 
 Only the layer types the two networks need are provided: conv2d, relu,
 sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected, channel
-concatenation, softmax cross-entropy, the broadcast attention multiply,
-mean-absolute-value, and sum/mean reductions.  Everything runs on the CPU
-in float64; shapes are fixed at call time.
+concatenation, softmax cross-entropy, the broadcast attention multiply and
+mean-absolute-value; ``mul`` and the ``tensor_sum`` reduction serve the
+tests and demos that build scalar losses by hand.  Everything runs on the
+CPU in float64; shapes are fixed at call time.  A bad operand (mismatched
+shapes, an out-of-range label) raises :class:`ContractError`.
 
 Spatial tensors are laid out ``(batch, channels, width, height)`` in
 row-major order.
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 
 __all__ = [
     "Tensor",
@@ -34,7 +36,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "tensor_sum",
-    "tensor_mean",
     "l1_mean",
     "reshape",
     "flatten",
@@ -139,7 +140,7 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
 
     ``loss`` must be a single-element tensor produced through the tape.
     Gradients add onto existing buffers; callers zero them between steps
-    (``tape.clear()`` or the optimizer's ``zero_grad``).
+    with ``tape.clear()``.
     """
     if loss.data.size != 1:
         raise ContractError(
@@ -167,7 +168,7 @@ def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...],
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def bw(g):
         if a.requires_grad:
@@ -192,7 +193,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"mul: shapes {a.shape} and {b.shape} differ")
 
     def bw(g):
         if a.requires_grad:
@@ -245,17 +246,6 @@ def tensor_sum(x: Tensor) -> Tensor:
     return _apply(np.asarray(x.data.sum()), (x,), bw)
 
 
-def tensor_mean(x: Tensor) -> Tensor:
-    """Mean of all elements, as a rank-0 tensor."""
-    n = x.data.size
-
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, np.full_like(x.data, float(g) / n))
-
-    return _apply(np.asarray(x.data.mean()), (x,), bw)
-
-
 def l1_mean(x: Tensor) -> Tensor:
     """Mean absolute value; backward is sign(x)/n with sign(0) = 0."""
     n = x.data.size
@@ -291,7 +281,7 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     base = parts[0].shape
     for p in parts[1:]:
         if p.shape[0] != base[0] or p.shape[2:] != base[2:]:
-            raise ShapeError("concat_channels: non-channel dims differ")
+            raise ContractError("concat_channels: non-channel dims differ")
     sizes = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -331,7 +321,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *,
     reading out-of-range input as zero.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d: input and kernel must be rank 4")
+        raise ContractError("conv2d: input and kernel must be rank 4")
     b, cin, w, h = x.shape
     cout, kc, k, k2 = kernel.shape
     if k != k2:
@@ -339,14 +329,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *,
     if k % 2 == 0:
         raise ConfigError(f"conv2d: kernel size must be odd, got {k}")
     if kc != cin:
-        raise ShapeError(
+        raise ContractError(
             f"conv2d: input has {cin} channels but kernel expects {kc}")
     if bias.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
+        raise ContractError(f"conv2d: bias shape {bias.shape} != ({cout},)")
     if padding < 0:
         raise ConfigError(f"conv2d: padding must be >= 0, got {padding}")
     if w + 2 * padding < k or h + 2 * padding < k:
-        raise ShapeError(
+        raise ContractError(
             f"conv2d: {w}x{h} input too small for kernel {k} at padding {padding}")
 
     wo = conv2d_output_size(w, k, padding)
@@ -386,7 +376,7 @@ def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties route the gradient to the first max."""
     b, c, w, h = x.shape
     if w % 2 or h % 2:
-        raise ShapeError(f"maxpool2x2: spatial size {w}x{h} not even")
+        raise ContractError(f"maxpool2x2: spatial size {w}x{h} not even")
     wo, ho = w // 2, h // 2
     windows = (x.data.reshape(b, c, wo, 2, ho, 2)
                .transpose(0, 1, 2, 4, 3, 5)
@@ -410,12 +400,12 @@ def maxpool2x2(x: Tensor) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fully-connected layer: (B, D) @ (D, L) + (L,)."""
     if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ShapeError("linear: input and weight must be rank 2")
+        raise ContractError("linear: input and weight must be rank 2")
     if x.shape[1] != weight.shape[0]:
-        raise ShapeError(
+        raise ContractError(
             f"linear: {x.shape[1]} input features but weight expects {weight.shape[0]}")
     if bias.shape != (weight.shape[1],):
-        raise ShapeError(f"linear: bias shape {bias.shape} mismatched")
+        raise ContractError(f"linear: bias shape {bias.shape} mismatched")
 
     def bw(g):
         if bias.requires_grad:
@@ -434,14 +424,14 @@ def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     Computed in the max-shifted form, so logits of any magnitude stay finite.
     """
     if logits.data.ndim != 2:
-        raise ShapeError("softmax_cross_entropy: logits must be (B, L)")
+        raise ContractError("softmax_cross_entropy: logits must be (B, L)")
     b, l = logits.shape
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (b,):
-        raise ShapeError(
+        raise ContractError(
             f"softmax_cross_entropy: {b} rows but {y.size} labels")
     if y.size and (y.min() < 0 or y.max() >= l):
-        raise IndexError(
+        raise ContractError(
             f"softmax_cross_entropy: label out of range [0, {l})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
@@ -466,12 +456,12 @@ def broadcast_mul(images: Tensor, weight_map: Tensor) -> Tensor:
     contribution per broadcast copy.
     """
     if images.data.ndim != 4 or weight_map.data.ndim != 4:
-        raise ShapeError("broadcast_mul: operands must be rank 4")
+        raise ContractError("broadcast_mul: operands must be rank 4")
     if weight_map.shape[0] != 1 or weight_map.shape[1] != 1:
-        raise ShapeError(
+        raise ContractError(
             f"broadcast_mul: map must be (1, 1, W, H), got {weight_map.shape}")
     if images.shape[2:] != weight_map.shape[2:]:
-        raise ShapeError(
+        raise ContractError(
             f"broadcast_mul: spatial dims {images.shape[2:]} != {weight_map.shape[2:]}")
 
     def bw(g):

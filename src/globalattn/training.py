@@ -147,9 +147,6 @@ class TrainReport:
                          f"{r.test_acc!r},{r.l1_penalty!r}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.csv_text())
-
 
 def compute_cost(images: Tensor, labels, attention: AttentionModel,
                  classifier: ClassifierModel, p: Tensor, l1_coeff: float,
@@ -276,18 +273,18 @@ def rank_epochs(mean_accuracy, top: int) -> list[int]:
     return [e + 1 for e in order[:top]]
 
 
-def select_epochs_cv(train_set: ImageBatch, cfg: TrainConfig, folds: int,
-                     top: int) -> list[int]:
-    """Rank epochs by mean validation accuracy over k folds.
+def select_epochs_cv(train_set: ImageBatch, cfg: TrainConfig) -> list[int]:
+    """Rank epochs by mean validation accuracy over ``cfg.cv_folds`` folds.
 
-    Returns the ``top`` best 1-indexed epochs; ties favor the earlier
-    epoch.
+    Returns the ``cfg.top_epochs`` best 1-indexed epochs; ties favor the
+    earlier epoch.
     """
+    folds, top = cfg.cv_folds, cfg.top_epochs
     if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
+        raise ConfigError(f"cv_folds must be >= 2, got {folds}")
     if not 1 <= top <= cfg.total_epochs:
         raise ConfigError(
-            f"top must lie in [1, {cfg.total_epochs}], got {top}")
+            f"top_epochs must lie in [1, {cfg.total_epochs}], got {top}")
     if train_set.n // folds < cfg.batch_size:
         raise ConfigError(
             f"fold size {train_set.n // folds} smaller than one mini-batch "
@@ -327,7 +324,7 @@ def run_protocol(train_set: ImageBatch, test_set: ImageBatch,
     if cfg.eval_protocol == "simple_holdout":
         report = train(train_set, test_set, cfg)
         return report.rows[-1].test_acc, 0.0, [cfg.total_epochs]
-    epochs = select_epochs_cv(train_set, cfg, cfg.cv_folds, cfg.top_epochs)
+    epochs = select_epochs_cv(train_set, cfg)
     mean, std = evaluate_at_epochs(train_set, test_set, cfg, epochs)
     return mean, std, epochs
 

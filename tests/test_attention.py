@@ -4,11 +4,10 @@ import pytest
 from globalattn.attention import (AttentionModel, attention_forward,
                                   attention_l1_penalty,
                                   build_pixel_representation,
-                                  export_attention_map,
-                                  load_attention_checkpoint,
-                                  save_attention_checkpoint)
+                                  export_attention_map)
 from globalattn.datasets import ImageBatch
 from globalattn.errors import ConfigError, ContractError
+from globalattn.serialize import load_model_checkpoint, save_model_checkpoint
 from globalattn.tensor import Tensor
 
 
@@ -253,8 +252,8 @@ def test_attention_checkpoint_roundtrip(tmp_path):
     batch = make_batch(n=2, c=2, w=4, h=4, seed=29)
     model = make_model(batch, channels=3, depth=3, dense_connections=True)
     path = tmp_path / "attn.ckpt"
-    save_attention_checkpoint(model, path)
-    back = load_attention_checkpoint(path)
+    save_model_checkpoint(model, path)
+    back = load_model_checkpoint(AttentionModel, path)
     assert back.mode == model.mode
     assert back.depth == 3 and back.dense_connections
     p = build_pixel_representation(batch)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from globalattn.classifier import (ClassifierModel, accuracy,
-                                   classifier_forward,
-                                   load_classifier_checkpoint, predict,
-                                   save_classifier_checkpoint)
+                                   classifier_forward, predict)
 from globalattn.errors import ConfigError, ContractError, DataFormatError
 from globalattn.gradcheck import finite_diff_grad, grad_discrepancy
+from globalattn.serialize import load_model_checkpoint, save_model_checkpoint
 from globalattn.tensor import (GradientTape, Tensor, backward, broadcast_mul,
                                softmax_cross_entropy)
 
@@ -118,8 +117,8 @@ def test_parameter_gradients_match_finite_differences():
 def test_classifier_checkpoint_roundtrip(tmp_path):
     model = make_model(seed=9)
     path = tmp_path / "clf.ckpt"
-    save_classifier_checkpoint(model, path)
-    back = load_classifier_checkpoint(path)
+    save_model_checkpoint(model, path)
+    back = load_model_checkpoint(ClassifierModel, path)
     assert back.stages == model.stages
     x = Tensor(np.random.default_rng(10).standard_normal((2, 1, 8, 8)))
     a = classifier_forward(model, x).data
@@ -138,10 +137,10 @@ CLF_HEADER = (b"kind = classifier\nin_channels = 1\nwidth = 8\nheight = 8\n"
 ], ids=["missing_field", "non_integer_field", "not_utf8"])
 def test_classifier_checkpoint_bad_header_is_format_error(tmp_path, header):
     path = tmp_path / "clf.ckpt"
-    save_classifier_checkpoint(make_model(), path)
+    save_model_checkpoint(make_model(), path)
     raw = path.read_bytes()
     assert raw[4:4 + len(CLF_HEADER)] == CLF_HEADER
     path.write_bytes(struct.pack("<I", len(header)) + header
                      + raw[4 + len(CLF_HEADER):])
     with pytest.raises(DataFormatError):
-        load_classifier_checkpoint(path)
+        load_model_checkpoint(ClassifierModel, path)

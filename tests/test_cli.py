@@ -172,6 +172,18 @@ def test_preprocess_bad_spec_value_exits_2(tmp_path, capsys, spec_text):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_preprocess_failing_split_writes_nothing(tmp_path, capsys):
+    # index 10 exists in the 24-image train split but not the 6-image test
+    data = run_gen(tmp_path)
+    flips = write(tmp_path / "flips.txt", "10\n")
+    spec = write(tmp_path / "pre.cfg", f"flip_indices = {flips}\n")
+    out = tmp_path / "p"
+    assert main(["preprocess", "--spec", spec, "--in", str(data),
+                 "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_preprocess_empty_dir_exits_3(tmp_path):
     spec = write(tmp_path / "pre.cfg", "crop_left =\ncrop_right =\n"
                  "target_size =\nflip_indices =\nchannel_stats =\n")

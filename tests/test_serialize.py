@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from globalattn.attention import AttentionModel
+from globalattn.classifier import ClassifierModel
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
 from globalattn.errors import ContractError, DataFormatError
-from globalattn.serialize import (gten_bytes, gten_from_bytes, read_checkpoint,
-                                  read_gten, write_checkpoint, write_gten)
+from globalattn.serialize import (gten_bytes, gten_from_bytes,
+                                  load_model_checkpoint, read_checkpoint,
+                                  read_gten, save_model_checkpoint,
+                                  write_checkpoint, write_gten)
 
 
 def test_gten_roundtrip_bitwise(tmp_path):
@@ -73,6 +77,34 @@ def test_checkpoint_trailing_garbage(tmp_path):
         read_checkpoint(path)
 
 
+MODELS = {
+    AttentionModel: lambda: AttentionModel(
+        "pixel_cnn", 2, 4, 4, channels=3, rng=np.random.default_rng(0)),
+    ClassifierModel: lambda: ClassifierModel(
+        1, 8, 8, 3, (4, 8), rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (AttentionModel, "in_channels", "0"),
+    (AttentionModel, "in_channels", "-1"),
+    (AttentionModel, "width", "-2"),
+    (AttentionModel, "height", "0"),
+    (ClassifierModel, "width", "0"),
+    (ClassifierModel, "height", "-8"),
+    (ClassifierModel, "in_channels", "-1"),
+    (ClassifierModel, "stages", "0"),
+    (ClassifierModel, "stages", "-4"),
+], ids=lambda v: v.KIND if isinstance(v, type) else v)
+def test_checkpoint_size_below_one_is_format_error(tmp_path, cls, key, value):
+    path = tmp_path / "model.ckpt"
+    save_model_checkpoint(MODELS[cls](), path)
+    header, tensors = read_checkpoint(path)
+    write_checkpoint(path, {**header, key: value}, tensors)
+    with pytest.raises(DataFormatError, match=">= 1"):
+        load_model_checkpoint(cls, path)
+
+
 def test_dataset_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     images = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
@@ -133,16 +165,6 @@ def test_dataset_row_count_mismatch(tmp_path):
     labels_path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(DataFormatError, match="rows"):
         load_dataset(tmp_path / "d")
-
-
-def test_scores_to_labels_argmax_with_tie_rule():
-    from globalattn.datasets import scores_to_labels
-    scores = [[0.1, 0.9, 0.3],
-              [0.5, 0.5, 0.2],
-              [0.0, 0.1, 0.8]]
-    assert scores_to_labels(scores).tolist() == [1, 0, 2]
-    with pytest.raises(ContractError):
-        scores_to_labels([1.0, 2.0])
 
 
 def test_image_batch_invariants():

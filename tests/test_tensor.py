@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from globalattn.errors import ConfigError, ContractError, ShapeError
+from globalattn.errors import ConfigError, ContractError
 from globalattn.gradcheck import finite_diff_grad, grad_discrepancy
 from globalattn.tensor import (GradientTape, Tensor, add, backward,
                                broadcast_mul, concat_channels, conv2d,
                                conv2d_output_size, flatten, l1_mean, linear,
                                maxpool2x2, mul, relu, reshape, scale, sigmoid,
-                               softmax_cross_entropy, tensor_mean, tensor_sum)
+                               softmax_cross_entropy, tensor_sum)
 
 from oracles import conv2d_reference
 
@@ -85,7 +85,7 @@ def test_conv_output_shape_formula(k, padding, batch):
 def test_conv_channel_mismatch_raises():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     kern = Tensor(np.zeros((2, 4, 3, 3)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         conv2d(x, kern, Tensor(np.zeros(2)), padding=1)
 
 
@@ -196,9 +196,9 @@ def test_cross_entropy_batch_mean():
 
 
 def test_cross_entropy_label_out_of_range():
-    with pytest.raises(IndexError):
+    with pytest.raises(ContractError):
         softmax_cross_entropy(Tensor([[0.0, 0.0]]), [2])
-    with pytest.raises(IndexError):
+    with pytest.raises(ContractError):
         softmax_cross_entropy(Tensor([[0.0, 0.0]]), [-1])
 
 
@@ -241,7 +241,7 @@ def test_broadcast_mul_map_gradient_sums_over_copies():
 
 
 def test_broadcast_mul_spatial_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         broadcast_mul(Tensor(np.ones((1, 1, 4, 4))),
                       Tensor(np.ones((1, 1, 3, 4))))
 
@@ -342,14 +342,6 @@ def test_cleared_tape_zeroes_grad_buffers():
     assert len(tape) == 0
 
 
-def test_mean_backward():
-    x = Tensor(np.arange(4.0), requires_grad=True)
-    with GradientTape() as tape:
-        loss = tensor_mean(x)
-    backward(loss, tape)
-    assert np.array_equal(x.grad, np.full(4, 0.25))
-
-
 # ---------------------------------------------------------------------------
 # pooling, linear, reshape, concat
 # ---------------------------------------------------------------------------
@@ -375,7 +367,7 @@ def test_maxpool_backward_matches_finite_differences():
 
 
 def test_maxpool_odd_size_raises():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         maxpool2x2(Tensor(np.zeros((1, 1, 3, 4))))
 
 

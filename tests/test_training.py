@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,14 +187,15 @@ def test_l1_pixel_weights_mode_trains_the_multiplier():
 def test_select_all_epochs_returns_every_epoch():
     tr, _, _ = tiny_sets(n=32)
     cfg = tiny_cfg(batch_size=4)
-    picked = select_epochs_cv(tr, cfg, folds=2, top=cfg.total_epochs)
+    picked = select_epochs_cv(
+        tr, replace(cfg, cv_folds=2, top_epochs=cfg.total_epochs))
     assert sorted(picked) == list(range(1, cfg.total_epochs + 1))
 
 
 def test_select_epochs_on_separable_data_reach_full_accuracy():
     tr, _, _ = tiny_sets(n=32, signal=6.0, noise=0.2)
     cfg = tiny_cfg(batch_size=4, total_epochs=8, cutoff_epoch=2)
-    picked = select_epochs_cv(tr, cfg, folds=2, top=3)
+    picked = select_epochs_cv(tr, replace(cfg, cv_folds=2, top_epochs=3))
     acc = np.zeros((2, cfg.total_epochs))
     from globalattn.seeding import CV_FOLDS
     perm = rng_for(cfg.seed, CV_FOLDS).permutation(tr.n)
@@ -207,15 +210,14 @@ def test_select_epochs_on_separable_data_reach_full_accuracy():
 
 def test_select_epochs_deterministic():
     tr, _, _ = tiny_sets(n=32)
-    cfg = tiny_cfg(batch_size=4)
-    assert (select_epochs_cv(tr, cfg, 2, 3)
-            == select_epochs_cv(tr, cfg, 2, 3))
+    cfg = tiny_cfg(batch_size=4, cv_folds=2, top_epochs=3)
+    assert select_epochs_cv(tr, cfg) == select_epochs_cv(tr, cfg)
 
 
 def test_select_epochs_tie_breaks_to_earlier_epoch():
     tr, _, _ = tiny_sets(n=32, signal=6.0, noise=0.2)
     cfg = tiny_cfg(batch_size=4, total_epochs=8, cutoff_epoch=2)
-    picked = select_epochs_cv(tr, cfg, folds=2, top=3)
+    picked = select_epochs_cv(tr, replace(cfg, cv_folds=2, top_epochs=3))
     assert picked == sorted(picked)
 
 
@@ -229,7 +231,7 @@ def test_fold_smaller_than_batch_rejected():
     tr, _, _ = tiny_sets(n=32)
     cfg = tiny_cfg(batch_size=8)
     with pytest.raises(ConfigError, match="fold"):
-        select_epochs_cv(tr, cfg, folds=5, top=2)
+        select_epochs_cv(tr, replace(cfg, cv_folds=5, top_epochs=2))
 
 
 def test_evaluate_single_epoch_has_zero_std():
