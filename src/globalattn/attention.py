@@ -26,7 +26,8 @@ import numpy as np
 from .config import Field, format_bool, parse_bool
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
-from .tensor import (Tensor, concat_channels, conv2d, l1_mean, relu, sigmoid)
+from .tensor import (Tensor, concat_channels, conv2d, conv_params, l1_mean,
+                     relu, sigmoid)
 
 __all__ = [
     "MODES",
@@ -49,12 +50,6 @@ def build_pixel_representation(batch: ImageBatch) -> Tensor:
         raise ContractError("pixel representation needs a non-empty batch")
     n, c, w, h = batch.images.shape
     return Tensor(batch.images.reshape(1, n * c, w, h).copy())
-
-
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
-                  fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 class AttentionModel:
@@ -108,21 +103,11 @@ class AttentionModel:
         if mode == "pixel_cnn":
             if rng is None:
                 raise ConfigError("pixel_cnn mode needs an init rng")
-            k = hidden_kernel
             cin = in_channels
             for layer in range(depth - 1):
-                fan_in = cin * k * k
-                kernel = Tensor(_uniform_init(rng, (channels, cin, k, k), fan_in),
-                                requires_grad=True)
-                bias = Tensor(np.zeros(channels), requires_grad=True)
-                self.params.extend([kernel, bias])
+                self.params += conv_params(rng, channels, cin, hidden_kernel)
                 cin = channels * (layer + 1) if dense_connections else channels
-            kl = last_kernel
-            fan_in = cin * kl * kl
-            kernel = Tensor(_uniform_init(rng, (1, cin, kl, kl), fan_in),
-                            requires_grad=True)
-            bias = Tensor(np.zeros(1), requires_grad=True)
-            self.params.extend([kernel, bias])
+            self.params += conv_params(rng, 1, cin, last_kernel)
         elif mode == "l1_pixel_weights":
             self.params = [Tensor(np.ones((1, 1, width, height)),
                                   requires_grad=True)]
@@ -147,22 +132,13 @@ def attention_forward(model: AttentionModel, p: Tensor) -> Tensor:
         return Tensor(np.ones((1, 1, model.width, model.height)))
     if model.mode == "l1_pixel_weights":
         return model.params[0]
-    pad = (model.hidden_kernel - 1) // 2
     hidden: list[Tensor] = []
     x = p
     for layer in range(model.depth - 1):
         kernel, bias = model.params[2 * layer], model.params[2 * layer + 1]
-        x = relu(conv2d(x, kernel, bias, padding=pad))
-        hidden.append(x)
-        if model.dense_connections and layer + 1 < model.depth - 1:
-            x = concat_channels(hidden)
-    last_in = concat_channels(hidden) if model.dense_connections else hidden[-1]
-    kernel, bias = model.params[-2], model.params[-1]
-    out = conv2d(last_in, kernel, bias, padding=(model.last_kernel - 1) // 2)
-    if out.shape[2:] != (model.width, model.height):
-        raise ConfigError(
-            f"configuration does not preserve spatial size: {out.shape}")
-    return sigmoid(out)
+        hidden.append(relu(conv2d(x, kernel, bias)))
+        x = concat_channels(hidden) if model.dense_connections else hidden[-1]
+    return sigmoid(conv2d(x, model.params[-2], model.params[-1]))
 
 
 def attention_l1_penalty(model: AttentionModel, weight_map: Tensor) -> Tensor:

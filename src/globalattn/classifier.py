@@ -1,10 +1,10 @@
 """A small configurable image-classification CNN.
 
-Each stage is conv3x3 (pad 1) -> ReLU -> 2x2 max-pool, halving the spatial
-size; a fully-connected head maps the flattened features to class logits.
-Deliberately compact: at desk scale the interesting failure mode is a
-classifier that overfits background noise, which the attention map is
-meant to mitigate.
+Each stage is a same-size conv3x3 -> ReLU -> 2x2 max-pool, halving the
+spatial size; a fully-connected head maps the flattened features to class
+logits.  Deliberately compact: at desk scale the interesting failure mode
+is a classifier that overfits background noise, which the attention map
+is meant to mitigate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import Field, format_ints, parse_ints
 from .errors import ConfigError, ContractError
-from .tensor import Tensor, conv2d, flatten, linear, maxpool2x2, relu
+from .tensor import (Tensor, conv2d, conv_params, flatten, linear, maxpool2x2,
+                     relu)
 
 __all__ = [
     "ClassifierModel",
@@ -62,12 +63,7 @@ class ClassifierModel:
         self.params: list[Tensor] = []
         cin = in_channels
         for cout in stages:
-            fan_in = cin * 9
-            bound = 1.0 / np.sqrt(fan_in)
-            self.params.append(Tensor(
-                rng.uniform(-bound, bound, size=(cout, cin, 3, 3)),
-                requires_grad=True))
-            self.params.append(Tensor(np.zeros(cout), requires_grad=True))
+            self.params += conv_params(rng, cout, cin, 3)
             cin = cout
         feat = stages[-1] * (width // factor) * (height // factor)
         bound = 1.0 / np.sqrt(feat)
@@ -89,7 +85,7 @@ def classifier_forward(model: ClassifierModel, weighted: Tensor) -> Tensor:
     x = weighted
     for i in range(len(model.stages)):
         kernel, bias = model.params[2 * i], model.params[2 * i + 1]
-        x = maxpool2x2(relu(conv2d(x, kernel, bias, padding=1)))
+        x = maxpool2x2(relu(conv2d(x, kernel, bias)))
     return linear(flatten(x), model.params[-2], model.params[-1])
 
 

@@ -24,8 +24,8 @@ from .serialize import save_model_checkpoint, write_gten
 from .synthetic import generate_synthetic, load_synthetic_spec, split_train_test
 from .training import (_check_compatible, config_kv, load_train_config, sweep,
                        sweep_csv_text, train)
-from .config import (Field, field_keys, load_kv_file, parse_fields, parse_ints,
-                     parse_size)
+from .config import (Field, field_keys, load_kv_file, parse_fields,
+                     parse_float, parse_ints, parse_size)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,7 +120,7 @@ def _cmd_gradcheck(args) -> int:
 _GRID_FIELDS = (
     Field("K", "k_values", parse_ints),
     Field("lambda", "lambda_values",
-          lambda text: tuple(float(v) for v in text.split(","))),
+          lambda text: tuple(parse_float(v) for v in text.split(","))),
     Field("E", "e_values", parse_ints),
 )
 

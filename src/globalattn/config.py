@@ -11,6 +11,7 @@ table of :class:`Field` rows; :func:`parse_fields` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -19,7 +20,8 @@ from .errors import ConfigError
 
 __all__ = ["parse_kv_text", "load_kv_file", "format_kv", "Field",
            "field_keys", "parse_fields", "format_fields", "parse_bool",
-           "format_bool", "parse_ints", "format_ints", "parse_size"]
+           "format_bool", "parse_float", "parse_ints", "format_ints",
+           "parse_size"]
 
 
 def parse_kv_text(text: str, allowed_keys: tuple[str, ...] | None = None
@@ -111,6 +113,14 @@ def parse_bool(value: str) -> bool:
 
 def format_bool(value: bool) -> str:
     return str(int(value))
+
+
+def parse_float(value: str) -> float:
+    """A finite float; nan and +-inf are rejected like malformed text."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def parse_ints(value: str) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (Field, field_keys, load_kv_file, parse_fields,
-                     parse_kv_text, parse_size)
+                     parse_float, parse_kv_text, parse_size)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
 
@@ -124,7 +124,7 @@ def _parse_channel_stats(value: str) -> tuple[tuple[float, float], ...]:
     pairs = []
     for token in value.split(","):
         mean_str, std_str = token.split(":")
-        pairs.append((float(mean_str), float(std_str)))
+        pairs.append((parse_float(mean_str), parse_float(std_str)))
     return tuple(pairs)
 
 

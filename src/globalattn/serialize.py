@@ -2,7 +2,7 @@
 
 Tensor file (``.gten``): magic bytes ``GTEN``, a little-endian u32 rank,
 ``rank`` little-endian u32 dims, then float32 little-endian values in
-row-major order.
+row-major order.  Every value must be finite.
 
 Checkpoint: a little-endian u32 length, a UTF-8 key-value header
 (``key = value`` lines), then one length-prefixed GTEN blob per parameter
@@ -47,7 +47,8 @@ def gten_bytes(array: np.ndarray) -> bytes:
 
 
 def gten_from_bytes(blob: bytes) -> np.ndarray:
-    """Decode one tensor blob; values come back as float64."""
+    """Decode one tensor blob; values come back as float64.  A malformed
+    blob, or one holding NaN or inf, raises :class:`DataFormatError`."""
     if len(blob) < 8:
         raise DataFormatError("tensor file truncated before rank field")
     if blob[:4] != MAGIC:
@@ -68,6 +69,10 @@ def gten_from_bytes(blob: bytes) -> np.ndarray:
         raise DataFormatError(
             f"values field has {len(blob) - head} bytes, expected {4 * count}")
     values = np.frombuffer(blob, dtype="<f4", offset=head, count=count)
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is, and it needs no mask the size of the blob
+    if not np.isfinite(values.sum(dtype=np.float64)):
+        raise DataFormatError("values field holds a NaN or infinite value")
     return values.astype(np.float64).reshape(dims)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (Field, field_keys, format_ints, load_kv_file,
-                     parse_fields, parse_ints, parse_kv_text)
+                     parse_fields, parse_float, parse_ints, parse_kv_text)
 from .datasets import ImageBatch
 from .errors import ConfigError
 from .seeding import SPLIT, TEMPLATES, mix_seed, rng_for
@@ -51,8 +51,8 @@ class SyntheticSpec:
         Field("H", "h", int),
         Field("relevant_region", "relevant_region", parse_ints, format_ints),
         Field("num_classes", "num_classes", int),
-        Field("signal_strength", "signal_strength", float),
-        Field("noise_std", "noise_std", float),
+        Field("signal_strength", "signal_strength", parse_float),
+        Field("noise_std", "noise_std", parse_float),
         Field("seed", "seed", int),
     )
 

@@ -6,13 +6,15 @@ the innermost active :class:`GradientTape`; :func:`backward` replays the
 tape in reverse execution order, accumulating gradients additively, so a
 tensor consumed by k operations receives the sum of k contributions.
 
-Only the layer types the two networks need are provided: conv2d, relu,
-sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected, channel
-concatenation, softmax cross-entropy, the broadcast attention multiply and
-mean-absolute-value; ``mul`` and the ``tensor_sum`` reduction serve the
-tests and demos that build scalar losses by hand.  Everything runs on the
-CPU in float64; shapes are fixed at call time.  A bad operand (mismatched
-shapes, an out-of-range label) raises :class:`ContractError`.
+Only the layer types the two networks need are provided: a same-size
+conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
+layers come from :func:`conv_params`), relu, sigmoid, 2x2 max-pooling,
+reshape/flatten, fully-connected, channel concatenation, softmax
+cross-entropy, the broadcast attention multiply and mean-absolute-value;
+``mul`` and the ``tensor_sum`` reduction serve the tests and demos that
+build scalar losses by hand.  Everything runs on the CPU in float64;
+shapes are fixed at call time.  A bad operand (mismatched shapes, an
+out-of-range label) raises :class:`ContractError`.
 
 Spatial tensors are laid out ``(batch, channels, width, height)`` in
 row-major order.
@@ -41,7 +43,7 @@ __all__ = [
     "flatten",
     "concat_channels",
     "conv2d",
-    "conv2d_output_size",
+    "conv_params",
     "maxpool2x2",
     "linear",
     "softmax_cross_entropy",
@@ -297,9 +299,14 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 # convolution / pooling / linear
 # ---------------------------------------------------------------------------
 
-def conv2d_output_size(size: int, k: int, padding: int) -> int:
-    """Output extent of one spatial axis: size + 2*padding - k + 1."""
-    return size + 2 * padding - k + 1
+def conv_params(rng: np.random.Generator, cout: int, cin: int,
+                k: int) -> list[Tensor]:
+    """Trainable ``[kernel, bias]`` of one conv layer: the kernel is drawn
+    uniform in +-1/sqrt(cin*k*k), the bias starts at zero."""
+    bound = 1.0 / np.sqrt(cin * k * k)
+    return [Tensor(rng.uniform(-bound, bound, size=(cout, cin, k, k)),
+                   requires_grad=True),
+            Tensor(np.zeros(cout), requires_grad=True)]
 
 
 def _im2col(xp: np.ndarray, k: int, wo: int, ho: int) -> np.ndarray:
@@ -311,14 +318,13 @@ def _im2col(xp: np.ndarray, k: int, wo: int, ho: int) -> np.ndarray:
     return col
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *,
-           padding: int = 0) -> Tensor:
-    """2-D cross-correlation with stride 1 and zero padding.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Same-size 2-D cross-correlation: stride 1, zero padding p = k // 2.
 
     ``x`` is (B, Cin, W, H), ``kernel`` is (Cout, Cin, k, k) with k odd,
-    ``bias`` is (Cout,).  out[b,o,x,y] = bias[o] +
-    sum_{c,i,j} x[b,c,x+i-padding, y+j-padding] * kernel[o,c,i,j],
-    reading out-of-range input as zero.
+    ``bias`` is (Cout,); the output is (B, Cout, W, H).  out[b,o,x,y] =
+    bias[o] + sum_{c,i,j} x[b,c,x+i-p, y+j-p] * kernel[o,c,i,j], reading
+    out-of-range input as zero.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ContractError("conv2d: input and kernel must be rank 4")
@@ -333,41 +339,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *,
             f"conv2d: input has {cin} channels but kernel expects {kc}")
     if bias.shape != (cout,):
         raise ContractError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-    if padding < 0:
-        raise ConfigError(f"conv2d: padding must be >= 0, got {padding}")
-    if w + 2 * padding < k or h + 2 * padding < k:
-        raise ContractError(
-            f"conv2d: {w}x{h} input too small for kernel {k} at padding {padding}")
 
-    wo = conv2d_output_size(w, k, padding)
-    ho = conv2d_output_size(h, k, padding)
-    if padding > 0:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding),
-                             (padding, padding)))
-    else:
-        xp = x.data
-    col = _im2col(xp, k, wo, ho)
-    colm = col.reshape(b, cin * k * k, wo * ho)
+    p = k // 2
+    # a 1x1 kernel reads x in place rather than through a padded copy
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    col = _im2col(xp, k, w, h)
+    colm = col.reshape(b, cin * k * k, w * h)
     km = kernel.data.reshape(cout, cin * k * k)
-    out = np.matmul(km, colm).reshape(b, cout, wo, ho)
+    out = np.matmul(km, colm).reshape(b, cout, w, h)
     out += bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
-        gm = g.reshape(b, cout, wo * ho)
+        gm = g.reshape(b, cout, w * h)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
             gk = np.matmul(gm, colm.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(kernel, gk.reshape(kernel.data.shape))
         if x.requires_grad:
-            dcol = np.matmul(km.T, gm).reshape(b, cin, k, k, wo, ho)
+            dcol = np.matmul(km.T, gm).reshape(b, cin, k, k, w, h)
             gxp = np.zeros_like(xp)
             for i in range(k):
                 for j in range(k):
-                    gxp[:, :, i:i + wo, j:j + ho] += dcol[:, :, i, j]
-            if padding > 0:
-                gxp = gxp[:, :, padding:padding + w, padding:padding + h]
-            _accumulate(x, gxp)
+                    gxp[:, :, i:i + w, j:j + h] += dcol[:, :, i, j]
+            _accumulate(x, gxp[:, :, p:p + w, p:p + h])
 
     return _apply(out, (x, kernel, bias), bw)
 

@@ -26,7 +26,7 @@ from .attention import (AttentionModel, attention_forward,
 from .classifier import ClassifierModel, accuracy, classifier_forward, predict
 from .config import (Field, field_keys, format_bool, format_fields,
                      format_ints, load_kv_file, parse_bool, parse_fields,
-                     parse_ints, parse_kv_text)
+                     parse_float, parse_ints, parse_kv_text)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError, DivergenceError
 from .optim import Adam
@@ -82,11 +82,11 @@ class TrainConfig:
 
     FIELDS = (
         Field("K", "channels", int),
-        Field("lambda", "l1_coeff", float),
+        Field("lambda", "l1_coeff", parse_float),
         Field("E", "cutoff_epoch", int),
-        Field("lr", "lr", float),
+        Field("lr", "lr", parse_float),
         Field("batch_size", "batch_size", int),
-        Field("weight_decay", "weight_decay", float),
+        Field("weight_decay", "weight_decay", parse_float),
         Field("total_epochs", "total_epochs", int),
         Field("seed", "seed", int),
         Field("attention_mode", "attention_mode"),

@@ -301,6 +301,43 @@ def test_train_unknown_config_key_exits_2(tmp_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+def with_setting(text, setting):
+    """``text`` with the line of ``setting``'s key replaced or appended."""
+    key = setting.split("=")[0].strip()
+    lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join([*lines, setting]) + "\n"
+
+
+NON_FINITE = [("gen", "signal_strength = nan"), ("gen", "noise_std = inf"),
+              ("preprocess", "channel_stats = nan:1.0"),
+              ("train", "lr = nan"), ("train", "lr = inf"),
+              ("train", "lambda = inf"), ("train", "weight_decay = nan"),
+              ("sweep", "lambda = nan")]
+
+
+@pytest.mark.parametrize("command, setting", NON_FINITE,
+                         ids=[f"{c}-{s.split()[0]}-{s.split()[-1]}"
+                              for c, s in NON_FINITE])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, command, setting):
+    out = str(tmp_path / "out")
+    if command == "gen":
+        spec = write(tmp_path / "synth.cfg", with_setting(SYNTH_SPEC, setting))
+        args = ["--spec", spec, "--out", out]
+    elif command == "preprocess":
+        spec = write(tmp_path / "pre.cfg", setting + "\n")
+        args = ["--spec", spec, "--in", str(run_gen(tmp_path)), "--out", out]
+    elif command == "train":
+        cfg = write(tmp_path / "train.cfg", with_setting(TRAIN_CFG, setting))
+        args = ["--config", cfg, "--data", str(run_gen(tmp_path)), "--out", out]
+    else:
+        cfg = write(tmp_path / "train.cfg", TRAIN_CFG)
+        grid = write(tmp_path / "grid.cfg", f"K = 4\n{setting}\nE = 2\n")
+        args = ["--config", cfg, "--grid", grid,
+                "--data", str(run_gen(tmp_path)), "--out", out + ".csv"]
+    assert main([command, *args]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from globalattn.classifier import ClassifierModel
 from globalattn.config import format_kv
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
 from globalattn.errors import ConfigError, DataFormatError
+from globalattn.preprocess import load_preprocess_spec, packaged_flip_list
 from globalattn.serialize import load_model_checkpoint, save_model_checkpoint
+from globalattn.synthetic import load_synthetic_spec
 from globalattn.training import TrainConfig, config_kv, load_train_config
 
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -71,6 +73,13 @@ def originals(tmp_path_factory):
     files["classifier"] = (root / "c.ckpt").read_bytes()
     cfg = TrainConfig(dense_connections=True, stages=(4, 8))
     files["config"] = format_kv(config_kv(cfg)).encode("utf-8")
+    files["synth.cfg"] = (
+        b"N = 30\nC = 1\nW = 8\nH = 8\nrelevant_region = 2,2,5,5\n"
+        b"num_classes = 3\nsignal_strength = 3.0\nnoise_std = 1.0\nseed = 11\n")
+    files["pre.cfg"] = (
+        b"crop_left = 1\ncrop_right = 6\ntarget_size = 4x4\n"
+        b"flip_indices = flips.txt\nchannel_stats = 0.485:0.229,0.456:0.224\n")
+    files["flips.txt"] = packaged_flip_list("idrid_test").read_bytes()
     return files
 
 
@@ -106,3 +115,21 @@ def test_damaged_train_config(originals, workdir, data):
     path = workdir / "train.txt"
     path.write_bytes(damage(originals["config"], data))
     accepts_or_rejects_cleanly(load_train_config, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_synthetic_spec(originals, workdir, data):
+    path = workdir / "synth.cfg"
+    path.write_bytes(damage(originals["synth.cfg"], data))
+    accepts_or_rejects_cleanly(load_synthetic_spec, path)
+
+
+@pytest.mark.parametrize("part", ["pre.cfg", "flips.txt"])
+@FUZZ
+@given(data=st.data())
+def test_damaged_preprocess_spec(originals, workdir, part, data):
+    for name in ("pre.cfg", "flips.txt"):
+        raw = originals[name]
+        (workdir / name).write_bytes(damage(raw, data) if name == part else raw)
+    accepts_or_rejects_cleanly(load_preprocess_spec, workdir / "pre.cfg")

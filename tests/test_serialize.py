@@ -105,6 +105,19 @@ def test_checkpoint_size_below_one_is_format_error(tmp_path, cls, key, value):
         load_model_checkpoint(cls, path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls", [AttentionModel, ClassifierModel],
+                         ids=lambda cls: cls.KIND)
+def test_checkpoint_non_finite_tensor_is_format_error(tmp_path, cls, value):
+    model = MODELS[cls]()
+    model.params[0].data.flat[0] = value
+    path = tmp_path / "model.ckpt"
+    save_model_checkpoint(model, path)
+    with pytest.raises(DataFormatError, match="NaN or infinite"):
+        load_model_checkpoint(cls, path)
+
+
 def test_dataset_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     images = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
