@@ -25,3 +25,8 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
+
+    def __reduce__(self):
+        # rebuild from (epoch, message), so a sweep worker's error keeps
+        # its integer epoch when it crosses the process boundary
+        return type(self), (self.epoch, str(self))

@@ -38,8 +38,17 @@ MAGIC = b"GTEN"
 
 
 def gten_bytes(array: np.ndarray) -> bytes:
-    # note: ascontiguousarray would promote rank-0 arrays to rank 1
-    arr = np.asarray(array, dtype="<f4", order="C")
+    """Encode one tensor as float32.  A finite value beyond the float32
+    range raises :class:`DataFormatError`: it would cast to inf, and the
+    blob would not load."""
+    try:
+        # turns the cast's overflow warning into an error
+        with np.errstate(over="raise"):
+            # note: ascontiguousarray would promote rank-0 arrays to rank 1
+            arr = np.asarray(array, dtype="<f4", order="C")
+    except FloatingPointError as exc:
+        raise DataFormatError(
+            "tensor holds a value beyond the float32 range") from exc
     parts = [MAGIC, struct.pack("<I", arr.ndim)]
     parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
     parts.append(arr.tobytes())
@@ -89,11 +98,12 @@ def write_checkpoint(path: str | Path, header: dict[str, str],
     pairs = dict(header)
     pairs["tensors"] = str(len(tensors))
     head = format_kv(pairs).encode("utf-8")
+    # encode every tensor first, so a refused one leaves no partial file
+    blobs = [gten_bytes(arr) for arr in tensors]
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        for arr in tensors:
-            blob = gten_bytes(arr)
+        for blob in blobs:
             fh.write(struct.pack("<I", len(blob)))
             fh.write(blob)
 

@@ -8,13 +8,14 @@ tensor consumed by k operations receives the sum of k contributions.
 
 Only the layer types the two networks need are provided: a same-size
 conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
-layers come from :func:`conv_params`), relu, sigmoid, 2x2 max-pooling,
-reshape/flatten, fully-connected, channel concatenation, softmax
-cross-entropy, the broadcast attention multiply and mean-absolute-value;
-``mul`` and the ``tensor_sum`` reduction serve the tests and demos that
-build scalar losses by hand.  Everything runs on the CPU in float64;
-shapes are fixed at call time.  A bad operand (mismatched shapes, an
-out-of-range label) raises :class:`ContractError`.
+layers come from :func:`conv_params`; its GEMM unrolls the thinner side,
+so the wide pixel representation is never copied k*k times), relu,
+sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected, channel
+concatenation, softmax cross-entropy, the broadcast attention multiply
+and mean-absolute-value; ``mul`` and the ``tensor_sum`` reduction serve
+the tests and demos that build scalar losses by hand.  Everything runs on
+the CPU in float64; shapes are fixed at call time.  A bad operand
+(mismatched shapes, an out-of-range label) raises :class:`ContractError`.
 
 Spatial tensors are laid out ``(batch, channels, width, height)`` in
 row-major order.
@@ -318,29 +319,10 @@ def _im2col(xp: np.ndarray, k: int, wo: int, ho: int) -> np.ndarray:
     return col
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-size 2-D cross-correlation: stride 1, zero padding p = k // 2.
-
-    ``x`` is (B, Cin, W, H), ``kernel`` is (Cout, Cin, k, k) with k odd,
-    ``bias`` is (Cout,); the output is (B, Cout, W, H).  out[b,o,x,y] =
-    bias[o] + sum_{c,i,j} x[b,c,x+i-p, y+j-p] * kernel[o,c,i,j], reading
-    out-of-range input as zero.
-    """
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ContractError("conv2d: input and kernel must be rank 4")
+def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
+    """One GEMM over a k*k-times copy of the input; returns (out, backward)."""
     b, cin, w, h = x.shape
-    cout, kc, k, k2 = kernel.shape
-    if k != k2:
-        raise ConfigError(f"conv2d: kernel must be square, got {k}x{k2}")
-    if k % 2 == 0:
-        raise ConfigError(f"conv2d: kernel size must be odd, got {k}")
-    if kc != cin:
-        raise ContractError(
-            f"conv2d: input has {cin} channels but kernel expects {kc}")
-    if bias.shape != (cout,):
-        raise ContractError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-
-    p = k // 2
+    cout, _, k, _ = kernel.shape
     # a 1x1 kernel reads x in place rather than through a padded copy
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     col = _im2col(xp, k, w, h)
@@ -364,6 +346,88 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                     gxp[:, :, i:i + w, j:j + h] += dcol[:, :, i, j]
             _accumulate(x, gxp[:, :, p:p + w, p:p + h])
 
+    return out, bw
+
+
+def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
+    """One GEMM per kernel tap over views of one padded copy of the input;
+    returns (out, backward).
+
+    Each padded plane is flattened with rows of length hp = H + 2p.  Tap
+    (i, j) is then the contiguous slice at offset i * hp + j, read as if
+    the output were W x hp; the hp - H columns past H wrap into the next
+    row and are cropped.  One extra zero row keeps the last tap's slice
+    inside the plane.
+    """
+    b, cin, w, h = x.shape
+    cout, _, k, _ = kernel.shape
+    hp = h + 2 * p
+    n = w * hp
+    xp = (np.pad(x.data, ((0, 0), (0, 0), (p, p + 1), (p, p))) if p
+          else x.data)
+    xf = xp.reshape(b, cin, -1)
+    kd = kernel.data
+    taps = [(i, j, i * hp + j) for i in range(k) for j in range(k)]
+    acc = np.zeros((b, cout, n))
+    for i, j, off in taps:
+        acc += np.matmul(kd[:, :, i, j], xf[:, :, off:off + n])
+    out = (acc.reshape(b, cout, w, hp)[..., :h]
+           + bias.data.reshape(1, cout, 1, 1))
+
+    def bw(g):
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        # zero gradient on the cropped columns, so they add nothing below
+        gpad = np.zeros((b, cout, w, hp))
+        gpad[..., :h] = g
+        gm = gpad.reshape(b, cout, n)
+        if kernel.requires_grad:
+            gk = np.empty_like(kd)
+            for i, j, off in taps:
+                gk[:, :, i, j] = np.matmul(
+                    gm, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(kernel, gk)
+        if x.requires_grad:
+            gxf = np.zeros_like(xf)
+            for i, j, off in taps:
+                gxf[:, :, off:off + n] += np.matmul(kd[:, :, i, j].T, gm)
+            _accumulate(x, gxf.reshape(xp.shape)[:, :, p:p + w, p:p + h])
+
+    return out, bw
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Same-size 2-D cross-correlation: stride 1, zero padding p = k // 2.
+
+    ``x`` is (B, Cin, W, H), ``kernel`` is (Cout, Cin, k, k) with k odd,
+    ``bias`` is (Cout,); the output is (B, Cout, W, H).  out[b,o,x,y] =
+    bias[o] + sum_{c,i,j} x[b,c,x+i-p, y+j-p] * kernel[o,c,i,j], reading
+    out-of-range input as zero.
+
+    The GEMM unrolls whichever side is thinner: with fewer input than
+    output channels, im2col copies the input k*k times into one GEMM;
+    otherwise, as for the wide pixel representation, the output sums one
+    GEMM per kernel tap over views of one padded copy of the input.
+    """
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ContractError("conv2d: input and kernel must be rank 4")
+    cin = x.shape[1]
+    cout, kc, k, k2 = kernel.shape
+    if k != k2:
+        raise ConfigError(f"conv2d: kernel must be square, got {k}x{k2}")
+    if k % 2 == 0:
+        raise ConfigError(f"conv2d: kernel size must be odd, got {k}")
+    if kc != cin:
+        raise ContractError(
+            f"conv2d: input has {cin} channels but kernel expects {kc}")
+    if bias.shape != (cout,):
+        raise ContractError(f"conv2d: bias shape {bias.shape} != ({cout},)")
+
+    # At Cin < Cout each tap would be a thin, memory-bound GEMM (a rank-1
+    # update at Cin = 1), so one im2col GEMM is faster; at Cin >= Cout the
+    # k*k-times input copy dominates time and memory, so taps win.
+    unroll = _conv_im2col if cin < cout else _conv_taps
+    out, bw = unroll(x, kernel, bias, k // 2)
     return _apply(out, (x, kernel, bias), bw)
 
 

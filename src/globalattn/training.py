@@ -14,6 +14,7 @@ chosen epochs, and hyperparameter grid sweeps.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -206,6 +207,29 @@ def build_models(train_set: ImageBatch, cfg: TrainConfig
     return attention, classifier, build_pixel_representation(train_set)
 
 
+# glibc's mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_heap() -> None:
+    """Let glibc keep a step's freed arrays for the next step's reuse.
+
+    A step allocates and frees some tens of MB of arrays.  Until glibc has
+    seen a large buffer freed, its default maps each large array afresh and
+    hands freed heap back to the OS, so every step faults all those pages
+    in again: a third of wall in ``attention_mode = none``.  These are the
+    values glibc's own policy adapts to at most; a C library without
+    ``mallopt`` keeps its default.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def train(train_set: ImageBatch, test_set: ImageBatch,
           cfg: TrainConfig) -> TrainReport:
     """Run the two-phase schedule and record one report row per epoch.
@@ -214,9 +238,11 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
     and their optimizer state stay untouched bit for bit, and the cached
     constant map keeps multiplying the inputs.  Raises
     :class:`DivergenceError` with the epoch index if the loss goes
-    non-finite.
+    non-finite.  On glibc it sets the process's heap policy (see
+    :func:`_retain_freed_heap`).
     """
     _check_compatible(train_set, test_set)
+    _retain_freed_heap()
     attention, classifier, p = build_models(train_set, cfg)
     opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
     opt_m = Adam(attention.params, cfg.lr) if attention.params else None

@@ -23,6 +23,19 @@ def test_gten_roundtrip_bitwise(tmp_path):
     assert gten_bytes(back) == path.read_bytes()
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_gten_refuses_values_beyond_float32_range(value):
+    with pytest.raises(DataFormatError, match="float32 range"):
+        gten_bytes(np.array([1.0, value]))
+
+
+def test_checkpoint_refusing_a_tensor_writes_no_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(DataFormatError, match="float32 range"):
+        write_checkpoint(path, {}, [np.zeros(2), np.array([1e39])])
+    assert not path.exists()
+
+
 def test_gten_scalar_rank_zero():
     arr = np.asarray(3.5)
     back = gten_from_bytes(gten_bytes(arr))

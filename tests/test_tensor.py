@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,15 +57,21 @@ def test_conv_preserves_spatial_size_for_stacked_input():
     assert out.shape == (1, kk, w, h)
 
 
+# conv2d uses im2col when Cin < Cout and per-tap GEMMs otherwise; W != H
+# catches a row/column mix-up in the per-tap offsets
+CONV_CHANNELS = ((3, 4), (5, 2), (4, 4))
+
+
 def test_conv_matches_reference_on_random_cases():
     rng = np.random.default_rng(3)
-    for k in (1, 3, 5, 7):
-        x = rng.standard_normal((2, 3, 7, 6))
-        kern = rng.standard_normal((4, 3, k, k))
-        bias = rng.standard_normal(4)
-        out = conv2d(Tensor(x), Tensor(kern), Tensor(bias))
-        ref = conv2d_reference(x, kern, bias, padding=k // 2)
-        assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    for cin, cout in CONV_CHANNELS:
+        for k in (1, 3, 5, 7):
+            x = rng.standard_normal((2, cin, 7, 6))
+            kern = rng.standard_normal((cout, cin, k, k))
+            bias = rng.standard_normal(cout)
+            out = conv2d(Tensor(x), Tensor(kern), Tensor(bias))
+            ref = conv2d_reference(x, kern, bias, padding=k // 2)
+            assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
 
 # conv2d pads k // 2, so size + 2 * padding - k + 1 is the input size
@@ -105,16 +112,49 @@ def test_conv_linear_in_input():
     assert np.allclose(out_sum, out_a + out_b, rtol=1e-12, atol=1e-12)
 
 
+# sum(conv * conv) is quadratic in every operand, so central differences
+# have no truncation error and a larger step only cuts their rounding
+CONV_FD_STEP = 1e-3
+
+
 def test_conv_backward_matches_finite_differences():
     rng = np.random.default_rng(5)
-    for k in (1, 3, 5):
-        x = Tensor(rng.standard_normal((2, 2, 6, 5)), requires_grad=True)
-        kern = Tensor(rng.standard_normal((3, 2, k, k)) * 0.3,
-                      requires_grad=True)
-        bias = Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)
-        fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias),
-                                        conv2d(x, kern, bias))),
-                 [x, kern, bias])
+    for cin, cout in CONV_CHANNELS:
+        for k in (1, 3, 5):
+            x = Tensor(rng.standard_normal((2, cin, 6, 5)), requires_grad=True)
+            kern = Tensor(rng.standard_normal((cout, cin, k, k)) * 0.3,
+                          requires_grad=True)
+            bias = Tensor(rng.standard_normal(cout) * 0.1, requires_grad=True)
+            fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias),
+                                            conv2d(x, kern, bias))),
+                     [x, kern, bias], h=CONV_FD_STEP)
+
+
+def test_conv_per_tap_backward_skips_input_without_grad():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((2, 5, 6, 5)))
+    kern = Tensor(rng.standard_normal((2, 5, 3, 3)) * 0.3, requires_grad=True)
+    bias = Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)
+    fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias),
+                                    conv2d(x, kern, bias))),
+             [kern, bias], h=CONV_FD_STEP)
+    assert x.grad is None
+
+
+def test_conv_per_tap_peak_memory_below_twice_input():
+    # im2col alone would hold 9x the input at k = 3
+    x = Tensor(np.random.default_rng(7).standard_normal((1, 512, 24, 20)))
+    kern, bias = conv_params(np.random.default_rng(8), 8, 512, 3)
+    tracemalloc.start()
+    try:
+        with GradientTape() as tape:
+            loss = tensor_sum(conv2d(x, kern, bias))
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern.grad is not None and x.grad is None
+    assert peak < 2 * x.data.nbytes
 
 
 def test_conv_params_draw_bounded_kernel_and_zero_bias():

@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from globalattn.training import (TrainConfig, compute_cost, evaluate_at_epochs,
                                  load_train_config, parse_train_config,
                                  rank_epochs, run_protocol, select_epochs_cv,
                                  sweep, sweep_csv_text, train)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_sets(n=32, w=16, h=16, signal=3.0, noise=1.0, seed=0, classes=3):
@@ -129,6 +136,35 @@ def test_train_is_bitwise_reproducible():
     b = train(tr, te, cfg)
     assert a.csv_text() == b.csv_text()
     assert np.array_equal(a.snapshots[6], b.snapshots[6])
+
+
+# a fresh interpreter, so the heap starts from glibc's default policy
+REPEAT_TRAIN = """
+import resource
+from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
+from globalattn.training import TrainConfig, train
+spec = SyntheticSpec(n=80, c=1, w=32, h=32, relevant_region=(12, 12, 19, 19),
+                     num_classes=3, signal_strength=2.0, noise_std=1.0, seed=1)
+tr, te = split_train_test(generate_synthetic(spec)[0], 0.8, 1)
+cfg = TrainConfig(total_epochs=3, cutoff_epoch=1, attention_mode="none")
+train(tr, te, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(tr, te, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_repeated_train_reuses_the_freed_heap():
+    # glibc's default returns each step's freed arrays to the OS, and a
+    # second identical run then faults in tens of thousands of pages
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", REPEAT_TRAIN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
