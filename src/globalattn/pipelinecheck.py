@@ -50,19 +50,21 @@ def _clearing_shift(preacts: np.ndarray, margin: float) -> float | None:
     return None
 
 
-def _pool_gaps_clear(activations: Tensor, margin: float) -> bool:
-    """True when every pool window's top two entries are separated by margin.
+def _pool_gaps_clear(preacts: Tensor, margin: float) -> bool:
+    """True when every pool window whose top two ``preacts`` (the conv output
+    that a stage pools before its ReLU) are positive separates them by margin.
 
     A window can flip under a single-coordinate perturbation only when its
     gap is below about 2h times the largest input tap, since the two
     competitors shift by at most h times their own taps.
     """
-    b, c, w, hh = activations.shape
-    windows = (activations.data.reshape(b, c, w // 2, 2, hh // 2, 2)
+    b, c, w, hh = preacts.shape
+    windows = (preacts.data.reshape(b, c, w // 2, 2, hh // 2, 2)
                .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, -1, 4))
     top2 = np.sort(windows, axis=-1)[..., -2:]
     gap = top2[..., 1] - top2[..., 0]
-    # ties among clamped zeros are harmless: those paths carry no gradient
+    # the bias shift puts a non-positive runner-up margin below zero, and
+    # the ReLU clamps a non-positive max, so those windows cannot flip
     contested = top2[..., 0] > 0.0
     return bool((gap[contested] >= margin).all()) if contested.any() else True
 
@@ -95,9 +97,8 @@ def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
                 return False
             bias.data[ch] += shift
         if bias in stage_biases:
-            records = _taped_forward(attention, classifier, p, batch)
-            activations = records[id(records[id(bias)].output)].output
-            if not _pool_gaps_clear(activations, margin):
+            conv = _taped_forward(attention, classifier, p, batch)[id(bias)]
+            if not _pool_gaps_clear(conv.output, margin):
                 return False
     return True
 

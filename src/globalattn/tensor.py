@@ -432,25 +432,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties route the gradient to the first max."""
-    b, c, w, h = x.shape
+    """2x2 max pooling with stride 2: max(max(a, b), max(c, d)) over strided
+    views of each window's rows a, b and c, d; the gradient goes to the first
+    max in the order a, b, c, d (first row on a tie, then left entry)."""
+    w, h = x.shape[2:]
     if w % 2 or h % 2:
         raise ContractError(f"maxpool2x2: spatial size {w}x{h} not even")
-    wo, ho = w // 2, h // 2
-    windows = (x.data.reshape(b, c, wo, 2, ho, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(b, c, wo, ho, 4))
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    windows = x.data.reshape(*x.shape[:2], w // 2, 2, h // 2, 2)
+    a, b, c, d = (windows[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    # np.maximum keeps its second operand on a +-0 tie: the first max wins
+    top, bot = np.maximum(b, a), np.maximum(d, c)
+    out = np.maximum(bot, top)
 
     def bw(g):
         if not x.requires_grad:
             return
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = (gw.reshape(b, c, wo, ho, 2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(b, c, w, h))
+        up, left_top, left_bot = top >= bot, a >= b, c >= d
+        firsts = up & left_top, up > left_top, left_bot > up, ~(up | left_bot)
+        gx = np.empty_like(x.data)  # the four masks partition the windows
+        gw = gx.reshape(windows.shape)
+        for k, first in enumerate(firsts):
+            np.multiply(g, first, out=gw[:, :, :, k // 2, :, k % 2])
         _accumulate(x, gx)
 
     return _apply(out, (x,), bw)

@@ -264,13 +264,15 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
             idx = order[start:start + cfg.batch_size]
             xb = Tensor(train_set.images[idx])
             yb = train_set.labels[idx]
-            with GradientTape() as tape:
+            # a diverging step overflows; the finite-loss check reports it
+            with (np.errstate(over="ignore", invalid="ignore",
+                              divide="ignore"),
+                  GradientTape() as tape):
                 cost = compute_cost(xb, yb, attention, classifier, p,
-                                    cfg.l1_coeff,
-                                    weight_map=frozen_map)
-            if not np.isfinite(cost.data).all():
-                raise DivergenceError(epoch)
-            backward(cost, tape)
+                                    cfg.l1_coeff, weight_map=frozen_map)
+                if not np.isfinite(cost.data).all():
+                    raise DivergenceError(epoch)
+                backward(cost, tape)
             opt_f.step()
             if joint:
                 opt_m.step()

@@ -38,3 +38,24 @@ def adam_reference_step(p, g, m, v, t, lr, b1, b2, eps, wd):
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
     return p - lr * m_hat / (v_hat ** 0.5 + eps), m, v
+
+
+def maxpool2x2_reference(x, g):
+    """2x2 stride-2 max pool and its input gradient for upstream ``g``.
+
+    Each window is scanned in row-major order; its first maximum gives the
+    output and alone receives the gradient.
+    """
+    b, c, w, h = x.shape
+    out = np.zeros((b, c, w // 2, h // 2))
+    gx = np.zeros_like(x)
+    for bi, ci, xo, yo in np.ndindex(out.shape):
+        best = None
+        for i in range(2):
+            for j in range(2):
+                at = (bi, ci, 2 * xo + i, 2 * yo + j)
+                if best is None or x[at] > x[best]:
+                    best = at
+        out[bi, ci, xo, yo] = x[best]
+        gx[best] = g[bi, ci, xo, yo]
+    return out, gx

@@ -9,6 +9,7 @@ from globalattn.errors import ConfigError, ContractError, DataFormatError
 from globalattn.gradcheck import finite_diff_grad, grad_discrepancy
 from globalattn.serialize import load_model_checkpoint, save_model_checkpoint
 from globalattn.tensor import (GradientTape, Tensor, backward, broadcast_mul,
+                               conv2d, flatten, linear, maxpool2x2, relu,
                                softmax_cross_entropy)
 
 
@@ -112,6 +113,33 @@ def test_parameter_gradients_match_finite_differences():
         numeric = finite_diff_grad(lambda _: build().item(), p, 1e-5)
         assert grad_discrepancy(analytic, numeric, rel_tol=1e-5) <= 1e-5
     tape.clear()
+
+
+def test_forward_equals_relu_before_pool_bitwise():
+    """Stages pool before their ReLU; logits and every parameter gradient
+    equal a conv -> ReLU -> pool forward bit for bit."""
+    model = make_model(w=8, h=12, stages=(4, 8), seed=3)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((3, 1, 8, 12)))
+    labels = [0, 2, 1]
+
+    def conv_relu_pool(x):
+        for i in range(len(model.stages)):
+            x = maxpool2x2(relu(conv2d(x, *model.params[2 * i:2 * i + 2])))
+        return linear(flatten(x), *model.params[-2:])
+
+    results = []
+    for forward in (lambda x: classifier_forward(model, x), conv_relu_pool):
+        with GradientTape() as tape:
+            logits = forward(x)
+            loss = softmax_cross_entropy(logits, labels)
+        backward(loss, tape)
+        results.append((logits.data, [p.grad.copy() for p in model.params]))
+        tape.clear()
+    (logits_a, grads_a), (logits_b, grads_b) = results
+    assert logits_a.tobytes() == logits_b.tobytes()
+    for ga, gb in zip(grads_a, grads_b):
+        assert ga.tobytes() == gb.tobytes()
 
 
 def test_classifier_checkpoint_roundtrip(tmp_path):

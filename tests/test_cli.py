@@ -256,22 +256,23 @@ def test_train_rerun_identical_report(tmp_path):
 def test_train_divergence_exits_4(tmp_path, capsys):
     data = run_gen(tmp_path)
     cfg = write(tmp_path / "train.cfg", TRAIN_CFG + "lr = 1e200\n")
-    with np.errstate(all="ignore"):
-        code = main(["train", "--config", cfg, "--data", str(data),
-                     "--out", str(tmp_path / "run")])
+    code = main(["train", "--config", cfg, "--data", str(data),
+                 "--out", str(tmp_path / "run")])
     assert code == 4
-    assert "epoch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "epoch" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_sweep_parallel_divergence_exits_4_naming_the_epoch(tmp_path, capsys):
     data = run_gen(tmp_path)
     cfg = write(tmp_path / "train.cfg", TRAIN_CFG + "lr = 1e200\n")
     grid = write(tmp_path / "grid.cfg", "K = 4\nlambda = 0.03\nE = 2,3\n")
-    with np.errstate(all="ignore"):
-        code = main(["sweep", "--config", cfg, "--grid", grid, "--jobs", "2",
-                     "--data", str(data), "--out", str(tmp_path / "s.csv")])
+    code = main(["sweep", "--config", cfg, "--grid", grid, "--jobs", "2",
+                 "--data", str(data), "--out", str(tmp_path / "s.csv")])
     assert code == 4
     err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
     assert err.count("epoch") == 1
     assert re.search(r"non-finite loss at epoch \d+$", err.strip())
 

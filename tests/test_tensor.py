@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,11 @@ from globalattn.tensor import (GradientTape, Tensor, add, backward,
                                maxpool2x2, mul, relu, reshape, scale, sigmoid,
                                softmax_cross_entropy, tensor_sum)
 
-from oracles import conv2d_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from oracles import conv2d_reference, maxpool2x2_reference
 
 
 def fd_check(build, params, h=1e-5, tol=1e-6):
@@ -316,7 +321,7 @@ def test_broadcast_mul_backward_both_sides():
     wmap = Tensor(rng.standard_normal((1, 1, 3, 3)), requires_grad=True)
     fd_check(lambda: tensor_sum(mul(broadcast_mul(images, wmap),
                                     broadcast_mul(images, wmap))),
-             [images, wmap])
+             [images, wmap], h=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +413,61 @@ def test_maxpool_forward_and_tie_rule():
     assert np.array_equal(t.grad, expected)
 
 
+# a value set rich in ties, signed zeros included
+TIE_VALUES = (-1.0, -0.0, 0.0, 0.5, 1.0)
+
+
+def test_maxpool_matches_reference_bitwise_on_ties():
+    # every one of the 5**4 windows over TIE_VALUES, so 4-, 3- and 2-way
+    # ties sit in every combination of window positions
+    rng = np.random.default_rng(14)
+    b, c, w, h = 2, 8, 16, 10
+    windows = np.array(list(itertools.product(TIE_VALUES, repeat=4)))
+    extra = rng.choice(TIE_VALUES, size=(b * c * w * h // 4 - len(windows), 4))
+    windows = rng.permutation(np.concatenate([windows, extra]))
+    x = (windows.reshape(b, c, w // 2, h // 2, 2, 2)
+         .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, w, h))
+    g = rng.standard_normal((b, c, w // 2, h // 2))
+    t = Tensor(x, requires_grad=True)
+    with GradientTape() as tape:
+        out = maxpool2x2(t)
+        loss = tensor_sum(mul(out, Tensor(g)))
+    backward(loss, tape)
+    ref_out, ref_grad = maxpool2x2_reference(x, g)
+    assert out.data.tobytes() == ref_out.tobytes()
+    assert t.grad.tobytes() == ref_grad.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(arrays(np.float64, st.tuples(st.integers(1, 2), st.integers(1, 3),
+                                    st.sampled_from([2, 4, 6]),
+                                    st.sampled_from([2, 4, 6])),
+              elements=st.sampled_from(TIE_VALUES)))
+def test_relu_commutes_with_maxpool_bitwise(x):
+    results = []
+    for first, second in ((maxpool2x2, relu), (relu, maxpool2x2)):
+        t = Tensor(x, requires_grad=True)
+        with GradientTape() as tape:
+            out = second(first(t))
+            loss = tensor_sum(out)
+        backward(loss, tape)
+        results.append((out.data, t.grad))
+    (out_a, grad_a), (out_b, grad_b) = results
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(grad_a, grad_b)
+
+
 def test_maxpool_backward_matches_finite_differences():
+    h = 1e-3
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((2, 2, 4, 6)), requires_grad=True)
-    fd_check(lambda: tensor_sum(mul(maxpool2x2(x), maxpool2x2(x))), [x])
+    # a window whose top two entries lie within 2h could flip under a step
+    windows = x.data.reshape(2, 2, 2, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5)
+    top2 = np.sort(windows.reshape(-1, 4), axis=1)[:, -2:]
+    assert (top2[:, 1] - top2[:, 0]).min() >= 2 * h
+    # the loss is quadratic in each coordinate, so the step adds no
+    # truncation error
+    fd_check(lambda: tensor_sum(mul(maxpool2x2(x), maxpool2x2(x))), [x], h=h)
 
 
 def test_maxpool_odd_size_raises():
@@ -437,7 +493,7 @@ def test_concat_channels_roundtrip_and_backward():
     assert np.array_equal(out.data[:, :2], a.data)
     assert np.array_equal(out.data[:, 2:], b.data)
     fd_check(lambda: tensor_sum(mul(concat_channels([a, b]),
-                                    concat_channels([a, b]))), [a, b])
+                                    concat_channels([a, b]))), [a, b], h=1e-3)
 
 
 def test_reshape_is_pure_relabeling():

@@ -167,7 +167,6 @@ def test_repeated_train_reuses_the_freed_heap():
     assert int(proc.stdout) < 1000
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts_with_epoch_index():
     # Adam steps are bounded by lr, so only an astronomically large rate
     # pushes activations past the float64 ceiling into NaN territory
@@ -175,6 +174,16 @@ def test_divergence_aborts_with_epoch_index():
     with pytest.raises(DivergenceError) as info:
         train(tr, te, tiny_cfg(lr=1e200, total_epochs=4, cutoff_epoch=1))
     assert 1 <= info.value.epoch <= 4
+
+
+def test_overflow_outside_train_still_warns():
+    """train() silences overflow only inside its own steps: after a run
+    that diverged, an overflow still fails under filterwarnings = error."""
+    tr, te, _ = tiny_sets()
+    with pytest.raises(DivergenceError):
+        train(tr, te, tiny_cfg(lr=1e200, total_epochs=4, cutoff_epoch=1))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.exp(np.array([1000.0]))
 
 
 def test_none_mode_matches_attention_free_twin_bitwise():
