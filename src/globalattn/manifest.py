@@ -2,9 +2,10 @@
 
 Every CLI command writes one flat key-value manifest next to its outputs,
 listing the resolved configuration, the seed, start/end timestamps, and a
-hex-encoded 64-bit FNV-1a checksum per artifact.  Replaying the command
-with the same config and seed reproduces identical checksums (timestamps
-aside).
+hex-encoded 64-bit FNV-1a checksum per artifact (``seeding.fnv1a64``, a
+vectorised form of the byte-at-a-time loop with the same digests).
+Replaying the command with the same config and seed reproduces identical
+checksums (timestamps aside).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ __all__ = ["checksum_file", "RunManifest"]
 
 
 def checksum_file(path: str | Path) -> str:
-    """Hex 64-bit FNV-1a over the file's bytes."""
+    """Hex 64-bit FNV-1a over the file's bytes, zero-padded to 16 digits."""
     return f"{fnv1a64(Path(path).read_bytes()):016x}"
 
 

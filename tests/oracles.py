@@ -59,3 +59,11 @@ def maxpool2x2_reference(x, g):
         out[bi, ci, xo, yo] = x[best]
         gx[best] = g[bi, ci, xo, yo]
     return out, gx
+
+
+def fnv1a64_reference(data):
+    """64-bit FNV-1a, one byte per step."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from globalattn.cli import main
 from globalattn.config import load_kv_file
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
+
+from oracles import fnv1a64_reference
 
 SYNTH_SPEC = """\
 N = 30
@@ -441,3 +444,120 @@ def test_every_artifact_is_listed_in_exactly_one_manifest(tmp_path):
         present = {p.name for p in directory.iterdir()
                    if p.name != "manifest.txt"}
         assert listed == present
+
+
+def test_manifest_checksums_match_an_independent_fnv(tmp_path):
+    # gen -> preprocess -> train -> sweep, as perfbench's cli_cv runs them;
+    # the 48x48 train split spans several hashing chunks
+    big = SYNTH_SPEC.replace("W = 8", "W = 48").replace("H = 8", "H = 48")
+    spec = write(tmp_path / "synth.cfg", big)
+    pre = write(tmp_path / "pre.cfg", "target_size = 16x16\n")
+    cfg = write(tmp_path / "train.cfg", TRAIN_CFG)
+    cv = write(tmp_path / "cv.cfg", TRAIN_CFG + "cv_folds = 2\ntop_epochs = 2\n"
+               "eval_protocol = cv_epoch_selection\n")
+    grid = write(tmp_path / "grid.cfg", "K = 4\nlambda = 0.03\nE = 2\n")
+    raw, data = str(tmp_path / "raw"), str(tmp_path / "data")
+    for argv in (["gen", "--spec", spec, "--out", raw],
+                 ["preprocess", "--spec", pre, "--in", raw, "--out", data],
+                 ["train", "--config", cfg, "--data", data,
+                  "--out", str(tmp_path / "run")],
+                 ["sweep", "--config", cv, "--grid", grid, "--data", data,
+                  "--out", str(tmp_path / "sweep" / "sweep.csv")]):
+        assert main(argv) == 0
+    manifests = sorted(tmp_path.rglob("*manifest.txt"))
+    assert len(manifests) == 4
+    sizes = []
+    for manifest in manifests:
+        kv = load_kv_file(manifest)
+        checked = 0
+        for key, value in kv.items():
+            if key.startswith("checksum."):
+                blob = Path(kv["output." + key[len("checksum."):]]).read_bytes()
+                assert value == f"{fnv1a64_reference(blob):016x}", key
+                sizes.append(len(blob))
+                checked += 1
+        assert checked > 0, manifest
+    assert max(sizes) > 3 * (1 << 16)
+
+
+# ---------------------------------------------------------------------------
+# documented exit codes
+# ---------------------------------------------------------------------------
+
+IDENTITY_PRE = ("crop_left =\ncrop_right =\n"
+                "target_size =\nflip_indices =\nchannel_stats =\n")
+
+
+def junk_train_split(data):
+    (data / "train.gten").write_bytes(b"JUNKJUNKJUNK")
+
+
+def gen_args(tmp_path, spec_text=SYNTH_SPEC):
+    spec = tmp_path / "synth.cfg"
+    if spec_text is not None:
+        write(spec, spec_text)
+    return ["--spec", str(spec), "--out", str(tmp_path / "out")]
+
+
+def data_dir(tmp_path, damage):
+    data = run_gen(tmp_path)
+    if damage is not None:
+        damage(data)
+    return str(data)
+
+
+def preprocess_args(tmp_path, spec_text=IDENTITY_PRE, damage=None):
+    spec = tmp_path / "pre.cfg"
+    if spec_text is not None:
+        write(spec, spec_text)
+    return ["--spec", str(spec), "--in", data_dir(tmp_path, damage),
+            "--out", str(tmp_path / "out")]
+
+
+def train_args(tmp_path, cfg_text=TRAIN_CFG, damage=None):
+    cfg = write(tmp_path / "train.cfg", cfg_text)
+    return ["--config", cfg, "--data", data_dir(tmp_path, damage),
+            "--out", str(tmp_path / "out")]
+
+
+def sweep_args(tmp_path, cfg_text=TRAIN_CFG,
+               grid_text="K = 4\nlambda = 0.03\nE = 2\n", damage=None):
+    cfg = write(tmp_path / "train.cfg", cfg_text)
+    grid = write(tmp_path / "grid.cfg", grid_text)
+    return ["--config", cfg, "--grid", grid,
+            "--data", data_dir(tmp_path, damage),
+            "--out", str(tmp_path / "out.csv")]
+
+
+# (command, documented exit code, tmp_path -> arguments that produce it)
+EXIT_CODES = [
+    ("gen", 0, gen_args),
+    ("gen", 2, lambda t: gen_args(t, spec_text=None)),
+    ("preprocess", 0, preprocess_args),
+    ("preprocess", 2, lambda t: preprocess_args(t, spec_text=None)),
+    ("preprocess", 3, lambda t: preprocess_args(t, damage=junk_train_split)),
+    ("train", 0, train_args),
+    ("train", 2, lambda t: train_args(t, TRAIN_CFG + "bogus = 1\n")),
+    ("train", 3, lambda t: train_args(t, damage=nan_pixel)),
+    ("train", 4, lambda t: train_args(t, TRAIN_CFG + "lr = 1e200\n")),
+    ("gradcheck", 0, lambda t: []),
+    ("gradcheck", 1, lambda t: ["--corrupt"]),
+    ("gradcheck", 2, lambda t: ["--size", "8by8"]),
+    ("sweep", 0, sweep_args),
+    ("sweep", 2, lambda t: sweep_args(t, grid_text="K = 4\n")),
+    ("sweep", 3, lambda t: sweep_args(t, damage=nan_pixel)),
+    ("sweep", 4, lambda t: sweep_args(t, TRAIN_CFG + "lr = 1e200\n")),
+]
+
+
+@pytest.mark.parametrize("command, code, args", EXIT_CODES,
+                         ids=[f"{c}-{k}" for c, k, _ in EXIT_CODES])
+def test_documented_exit_code(tmp_path, command, code, args):
+    assert main([command, *args(tmp_path)]) == code
+
+
+def test_readme_exit_code_paragraph_matches_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("Exit codes are stable:")[1].split("\n\n")[0]
+    named = {int(code) for code in re.findall(r"`(\d)`", paragraph)}
+    assert named == {code for _, code, _ in EXIT_CODES}

@@ -376,6 +376,20 @@ def test_backward_accumulates_over_multiple_consumers():
     assert np.array_equal(x.grad, [2 * 3.0 + 5.0])
 
 
+def test_first_gradient_is_a_fresh_buffer_without_negative_zeros():
+    # add hands one upstream array to both operands; the ReLU's gradient
+    # there is [-0.0, -1.0], stored as zeros + g stores it
+    a = Tensor([-1.0, 2.0], requires_grad=True)
+    b = Tensor([1.0, 1.0], requires_grad=True)
+    with GradientTape() as tape:
+        loss = tensor_sum(scale(relu(add(a, b)), -1.0))
+    backward(loss, tape)
+    assert not np.shares_memory(a.grad, b.grad)
+    for grad in (a.grad, b.grad):
+        assert np.array_equal(grad, [0.0, -1.0])
+        assert not np.signbit(grad[0])
+
+
 def test_backward_requires_scalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradientTape() as tape:
