@@ -9,7 +9,8 @@ tensor consumed by k operations receives the sum of k contributions.
 Only the layer types the two networks need are provided: a same-size
 conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
 layers come from :func:`conv_params`; its GEMM unrolls the thinner side,
-so the wide pixel representation is never copied k*k times), relu,
+so the wide pixel representation is never copied k*k times and is read
+once per product, by one GEMM over all kernel taps), relu,
 sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected, channel
 concatenation, softmax cross-entropy, the broadcast attention multiply
 and mean-absolute-value; ``mul`` and the ``tensor_sum`` reduction serve
@@ -113,7 +114,8 @@ class GradientTape:
 
     Use as a context manager; operations executed inside the ``with`` block
     whose output requires a gradient are recorded.  ``clear()`` empties the
-    record and zeroes the gradient buffers of every tensor it touched.
+    record, zeroes the gradient buffers of the tensors it only read
+    (parameters and inputs) and drops those of the tensors it produced.
     """
 
     def __init__(self):
@@ -133,10 +135,14 @@ class GradientTape:
         self._records.append(rec)
 
     def clear(self) -> None:
+        # each step makes its record outputs anew, so their buffers are
+        # dropped, not zeroed: a first gradient is stored as zeros + g
+        produced = {id(rec.output) for rec in self._records}
         for rec in self._records:
-            rec.output.zero_grad()
+            rec.output.grad = None
             for t in rec.inputs:
-                t.zero_grad()
+                if id(t) not in produced:
+                    t.zero_grad()
         self._records.clear()
 
 
@@ -312,6 +318,15 @@ def conv_params(rng: np.random.Generator, cout: int, cin: int,
             Tensor(np.zeros(cout), requires_grad=True)]
 
 
+def _zero_pad(x: np.ndarray, p: int, extra_rows: int = 0) -> np.ndarray:
+    """x inside a zero border of p on both spatial axes, plus ``extra_rows``
+    more zero rows at the end of W."""
+    b, c, w, h = x.shape
+    xp = np.zeros((b, c, w + 2 * p + extra_rows, h + 2 * p))
+    xp[:, :, p:p + w, p:p + h] = x
+    return xp
+
+
 def _im2col(xp: np.ndarray, k: int, wo: int, ho: int) -> np.ndarray:
     b, c = xp.shape[:2]
     col = np.empty((b, c, k, k, wo, ho), dtype=xp.dtype)
@@ -326,7 +341,7 @@ def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
     # a 1x1 kernel reads x in place rather than through a padded copy
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    xp = _zero_pad(x.data, p) if p else x.data
     col = _im2col(xp, k, w, h)
     colm = col.reshape(b, cin * k * k, w * h)
     km = kernel.data.reshape(cout, cin * k * k)
@@ -352,47 +367,47 @@ def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
 
 
 def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
-    """One GEMM per kernel tap over views of one padded copy of the input;
-    returns (out, backward).
+    """One GEMM over all k*k kernel taps stacked, reading one padded copy of
+    the input once; returns (out, backward).
 
     Each padded plane is flattened with rows of length hp = H + 2p.  Tap
     (i, j) is then the contiguous slice at offset i * hp + j, read as if
     the output were W x hp; the hp - H columns past H wrap into the next
     row and are cropped.  One extra zero row keeps the last tap's slice
-    inside the plane.
+    inside the plane.  The taps' kernels stack tap-major into one
+    (k*k*Cout, Cin) matrix, so the GEMM gives every tap's product over the
+    whole plane, and the output adds each tap's rows at its offset.
     """
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
     hp = h + 2 * p
     n = w * hp
-    xp = (np.pad(x.data, ((0, 0), (0, 0), (p, p + 1), (p, p))) if p
-          else x.data)
+    xp = _zero_pad(x.data, p, extra_rows=1) if p else x.data
     xf = xp.reshape(b, cin, -1)
-    kd = kernel.data
-    taps = [(i, j, i * hp + j) for i in range(k) for j in range(k)]
+    ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+    offsets = [i * hp + j for i in range(k) for j in range(k)]
+    y = np.matmul(ks, xf).reshape(b, k * k, cout, -1)
     acc = np.zeros((b, cout, n))
-    for i, j, off in taps:
-        acc += np.matmul(kd[:, :, i, j], xf[:, :, off:off + n])
+    for t, off in enumerate(offsets):
+        acc += y[:, t, :, off:off + n]
     out = (acc.reshape(b, cout, w, hp)[..., :h]
            + bias.data.reshape(1, cout, 1, 1))
 
     def bw(g):
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        # zero gradient on the cropped columns, so they add nothing below
-        gpad = np.zeros((b, cout, w, hp))
-        gpad[..., :h] = g
-        gm = gpad.reshape(b, cout, n)
+        # each tap's rows hold g at that tap's offset; the cropped columns
+        # stay zero, so they add nothing below
+        gs = np.zeros((b, k * k, cout, xf.shape[2]))
+        for t, off in enumerate(offsets):
+            gs[:, t, :, off:off + n].reshape(b, cout, w, hp)[..., :h] = g
+        gs = gs.reshape(b, k * k * cout, -1)
         if kernel.requires_grad:
-            gk = np.empty_like(kd)
-            for i, j, off in taps:
-                gk[:, :, i, j] = np.matmul(
-                    gm, xf[:, :, off:off + n].transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(kernel, gk)
+            gk = np.matmul(gs, xf.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(kernel,
+                        gk.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
         if x.requires_grad:
-            gxf = np.zeros_like(xf)
-            for i, j, off in taps:
-                gxf[:, :, off:off + n] += np.matmul(kd[:, :, i, j].T, gm)
+            gxf = np.matmul(ks.T, gs)
             _accumulate(x, gxf.reshape(xp.shape)[:, :, p:p + w, p:p + h])
 
     return out, bw
@@ -408,8 +423,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     The GEMM unrolls whichever side is thinner: with fewer input than
     output channels, im2col copies the input k*k times into one GEMM;
-    otherwise, as for the wide pixel representation, the output sums one
-    GEMM per kernel tap over views of one padded copy of the input.
+    otherwise, as for the wide pixel representation, the kernel's k*k taps
+    stack into one GEMM over one padded copy of the input, and the output
+    adds each tap's product at that tap's offset.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ContractError("conv2d: input and kernel must be rank 4")
@@ -427,7 +443,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     # At Cin < Cout each tap would be a thin, memory-bound GEMM (a rank-1
     # update at Cin = 1), so one im2col GEMM is faster; at Cin >= Cout the
-    # k*k-times input copy dominates time and memory, so taps win.
+    # k*k-times input copy dominates time and memory, so the taps stack on
+    # the kernel side instead.
     unroll = _conv_im2col if cin < cout else _conv_taps
     out, bw = unroll(x, kernel, bias, k // 2)
     return _apply(out, (x, kernel, bias), bw)

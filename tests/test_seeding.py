@@ -38,6 +38,19 @@ def test_named_stream_tags_are_pinned():
     assert pipelinecheck._REDRAW == 0x3B1B448D3C0633DD
 
 
+@pytest.mark.parametrize("module, name, tag", [
+    (seeding, "ATTENTION_INIT", "attention-init"),
+    (seeding, "CLASSIFIER_INIT", "classifier-init"),
+    (seeding, "SHUFFLE", "epoch-shuffle"),
+    (seeding, "TEMPLATES", "synthetic-templates"),
+    (seeding, "SPLIT", "train-test-split"),
+    (seeding, "CV_FOLDS", "cv-folds"),
+    (pipelinecheck, "_REDRAW", "gradcheck-redraw"),
+])
+def test_named_stream_ids_hash_their_tags(module, name, tag):
+    assert getattr(module, name) == seeding.stream_tag(tag)
+
+
 EDGES = [0, 1, 63, 64, 65] + [n * CHUNK + d for n in (1, 2, 3)
                               for d in (-1, 0, 1)]
 

@@ -62,9 +62,10 @@ def test_conv_preserves_spatial_size_for_stacked_input():
     assert out.shape == (1, kk, w, h)
 
 
-# conv2d uses im2col when Cin < Cout and per-tap GEMMs otherwise; W != H
-# catches a row/column mix-up in the per-tap offsets
-CONV_CHANNELS = ((3, 4), (5, 2), (4, 4))
+# conv2d uses im2col when Cin < Cout and one GEMM over the stacked taps
+# otherwise; W != H catches a row/column mix-up in the tap offsets, and
+# (6, 3) stacks far more kernel rows (k*k*Cout) than input channels
+CONV_CHANNELS = ((3, 4), (5, 2), (4, 4), (6, 3))
 
 
 def test_conv_matches_reference_on_random_cases():
@@ -407,6 +408,27 @@ def test_cleared_tape_zeroes_grad_buffers():
     tape.clear()
     assert np.array_equal(x.grad, [0.0, 0.0])
     assert len(tape) == 0
+
+
+def test_cleared_tapes_give_a_reused_parameter_fresh_tape_gradients():
+    rng = np.random.default_rng(9)
+    kern, bias = conv_params(rng, 3, 2, 3)
+    x = Tensor(rng.standard_normal((1, 2, 5, 4)))
+
+    def grads():
+        with GradientTape() as tape:
+            loss = tensor_sum(relu(conv2d(relu(x), kern, bias)))
+        backward(loss, tape)
+        out = kern.grad.copy(), bias.grad.copy()
+        tape.clear()
+        return out
+
+    fresh = grads()
+    for _ in range(2):
+        again = grads()
+        for got, want in zip(again, fresh):
+            assert got.tobytes() == want.tobytes()
+    assert np.array_equal(kern.grad, np.zeros_like(kern.data))
 
 
 # ---------------------------------------------------------------------------
