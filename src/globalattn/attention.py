@@ -45,11 +45,13 @@ def build_pixel_representation(batch: ImageBatch) -> Tensor:
     """Reshape the (N, C, W, H) dataset into one (1, N*C, W, H) input.
 
     Pure relabeling: element [0, n*C + c, x, y] equals images[n, c, x, y].
+    It is a view of ``batch.images`` when they reshape without a copy (as a
+    C-contiguous batch does), so callers must not write into either.
     """
     if batch.n < 1:
         raise ContractError("pixel representation needs a non-empty batch")
     n, c, w, h = batch.images.shape
-    return Tensor(batch.images.reshape(1, n * c, w, h).copy())
+    return Tensor(batch.images.reshape(1, n * c, w, h))
 
 
 class AttentionModel:

@@ -8,15 +8,16 @@ tensor consumed by k operations receives the sum of k contributions.
 
 Only the layer types the two networks need are provided: a same-size
 conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
-layers come from :func:`conv_params`; its GEMM unrolls the thinner side,
-so the wide pixel representation is never copied k*k times and is read
-once per product, by one GEMM over all kernel taps), relu,
-sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected, channel
-concatenation, softmax cross-entropy, the broadcast attention multiply
-and mean-absolute-value; ``mul`` and the ``tensor_sum`` reduction serve
-the tests and demos that build scalar losses by hand.  Everything runs on
-the CPU in float64; shapes are fixed at call time.  A bad operand
-(mismatched shapes, an out-of-range label) raises :class:`ContractError`.
+layers come from :func:`conv_params`; its GEMM unrolls the thinner side
+and reads the input unpadded, so the wide pixel representation is never
+copied and is read in place once per product, by one GEMM over all kernel
+taps), relu, sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected,
+channel concatenation, softmax cross-entropy, the broadcast attention
+multiply and mean-absolute-value; ``mul`` and the ``tensor_sum``
+reduction serve the tests and demos that build scalar losses by hand.
+Everything runs on the CPU in float64; shapes are fixed at call time.  A
+bad operand (mismatched shapes, an out-of-range label) raises
+:class:`ContractError`.
 
 Spatial tensors are laid out ``(batch, channels, width, height)`` in
 row-major order.
@@ -318,31 +319,33 @@ def conv_params(rng: np.random.Generator, cout: int, cin: int,
             Tensor(np.zeros(cout), requires_grad=True)]
 
 
-def _zero_pad(x: np.ndarray, p: int, extra_rows: int = 0) -> np.ndarray:
-    """x inside a zero border of p on both spatial axes, plus ``extra_rows``
-    more zero rows at the end of W."""
-    b, c, w, h = x.shape
-    xp = np.zeros((b, c, w + 2 * p + extra_rows, h + 2 * p))
-    xp[:, :, p:p + w, p:p + h] = x
-    return xp
+def _tap_regions(k: int, w: int, h: int) -> list[tuple[tuple, tuple]]:
+    """Each kernel tap's (output region, input region), in tap order.
+
+    Tap (i, j) of a same-size conv reads the input shifted by (i - p, j - p);
+    both regions are that shift clipped to the W x H plane, and empty when
+    the shift reaches past it, so no padded copy of the input is needed.
+    """
+    p = k // 2
+
+    def clip(d: int, n: int) -> tuple[slice, slice]:
+        lo, hi = min(max(0, -d), n), max(min(n, n - d), 0)  # lo == hi if empty
+        return slice(lo, hi), slice(lo + d, hi + d)
+
+    rows = [clip(i - p, w) for i in range(k)]
+    cols = [clip(j - p, h) for j in range(k)]
+    return [((..., dx, dy), (..., sx, sy))
+            for dx, sx in rows for dy, sy in cols]
 
 
-def _im2col(xp: np.ndarray, k: int, wo: int, ho: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    col = np.empty((b, c, k, k, wo, ho), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            col[:, :, i, j] = xp[:, :, i:i + wo, j:j + ho]
-    return col
-
-
-def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
+def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
     """One GEMM over a k*k-times copy of the input; returns (out, backward)."""
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
-    # a 1x1 kernel reads x in place rather than through a padded copy
-    xp = _zero_pad(x.data, p) if p else x.data
-    col = _im2col(xp, k, w, h)
+    regions = _tap_regions(k, w, h)
+    col = np.zeros((b, cin, k * k, w, h))
+    for t, (dst, src) in enumerate(regions):
+        col[:, :, t][dst] = x.data[src]
     colm = col.reshape(b, cin * k * k, w * h)
     km = kernel.data.reshape(cout, cin * k * k)
     out = np.matmul(km, colm).reshape(b, cout, w, h)
@@ -356,59 +359,52 @@ def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
             gk = np.matmul(gm, colm.transpose(0, 2, 1)).sum(axis=0)
             _accumulate(kernel, gk.reshape(kernel.data.shape))
         if x.requires_grad:
-            dcol = np.matmul(km.T, gm).reshape(b, cin, k, k, w, h)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + w, j:j + h] += dcol[:, :, i, j]
-            _accumulate(x, gxp[:, :, p:p + w, p:p + h])
+            dcol = np.matmul(km.T, gm).reshape(b, cin, k * k, w, h)
+            gx = np.zeros_like(x.data)
+            for t, (dst, src) in enumerate(regions):
+                gx[src] += dcol[:, :, t][dst]
+            _accumulate(x, gx)
 
     return out, bw
 
 
-def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor, p: int):
-    """One GEMM over all k*k kernel taps stacked, reading one padded copy of
-    the input once; returns (out, backward).
+def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor):
+    """One GEMM over all k*k kernel taps stacked, reading the input in place
+    once; returns (out, backward).
 
-    Each padded plane is flattened with rows of length hp = H + 2p.  Tap
-    (i, j) is then the contiguous slice at offset i * hp + j, read as if
-    the output were W x hp; the hp - H columns past H wrap into the next
-    row and are cropped.  One extra zero row keeps the last tap's slice
-    inside the plane.  The taps' kernels stack tap-major into one
-    (k*k*Cout, Cin) matrix, so the GEMM gives every tap's product over the
-    whole plane, and the output adds each tap's rows at its offset.
+    The taps' kernels stack tap-major into one (k*k*Cout, Cin) matrix, so
+    the GEMM gives every tap's product over the whole W x H plane, and the
+    output adds each tap's rows over that tap's clipped region.
     """
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
-    hp = h + 2 * p
-    n = w * hp
-    xp = _zero_pad(x.data, p, extra_rows=1) if p else x.data
-    xf = xp.reshape(b, cin, -1)
+    regions = _tap_regions(k, w, h)
+    xf = x.data.reshape(b, cin, w * h)
     ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-    offsets = [i * hp + j for i in range(k) for j in range(k)]
-    y = np.matmul(ks, xf).reshape(b, k * k, cout, -1)
-    acc = np.zeros((b, cout, n))
-    for t, off in enumerate(offsets):
-        acc += y[:, t, :, off:off + n]
-    out = (acc.reshape(b, cout, w, hp)[..., :h]
-           + bias.data.reshape(1, cout, 1, 1))
+    y = np.matmul(ks, xf).reshape(b, k * k, cout, w, h)
+    out = np.zeros((b, cout, w, h))
+    for t, (dst, src) in enumerate(regions):
+        out[dst] += y[:, t][src]
+    out += bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        # each tap's rows hold g at that tap's offset; the cropped columns
-        # stay zero, so they add nothing below
-        gs = np.zeros((b, k * k, cout, xf.shape[2]))
-        for t, off in enumerate(offsets):
-            gs[:, t, :, off:off + n].reshape(b, cout, w, hp)[..., :h] = g
-        gs = gs.reshape(b, k * k * cout, -1)
+        # each tap's rows hold g at the input pixels that tap read
+        gs = np.zeros((b, k * k, cout, w, h))
+        for t, (dst, src) in enumerate(regions):
+            gs[:, t][src] = g[dst]
+        gs = gs.reshape(b, k * k * cout, w * h)
+        if x.requires_grad:  # ks made anew, so no tape record keeps it
+            ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+            _accumulate(x, np.matmul(ks.T, gs).reshape(x.shape))
         if kernel.requires_grad:
-            gk = np.matmul(gs, xf.transpose(0, 2, 1)).sum(axis=0)
+            gk = gs[0] @ xf[0].T
+            for i in range(1, b):
+                gk += gs[i] @ xf[i].T
+            del gs  # freed before the kernel's gradient buffer is made
             _accumulate(kernel,
                         gk.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            gxf = np.matmul(ks.T, gs)
-            _accumulate(x, gxf.reshape(xp.shape)[:, :, p:p + w, p:p + h])
 
     return out, bw
 
@@ -424,8 +420,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     The GEMM unrolls whichever side is thinner: with fewer input than
     output channels, im2col copies the input k*k times into one GEMM;
     otherwise, as for the wide pixel representation, the kernel's k*k taps
-    stack into one GEMM over one padded copy of the input, and the output
-    adds each tap's product at that tap's offset.
+    stack into one GEMM that reads the input in place.  Either way each
+    tap's shift is clipped at the border of the W x H plane, not padded.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ContractError("conv2d: input and kernel must be rank 4")
@@ -446,7 +442,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     # k*k-times input copy dominates time and memory, so the taps stack on
     # the kernel side instead.
     unroll = _conv_im2col if cin < cout else _conv_taps
-    out, bw = unroll(x, kernel, bias, k // 2)
+    out, bw = unroll(x, kernel, bias)
     return _apply(out, (x, kernel, bias), bw)
 
 

@@ -49,6 +49,16 @@ def test_pixel_representation_is_pure_relabeling():
     assert np.array_equal(restored, batch.images)
 
 
+def test_pixel_representation_is_a_view_of_the_batch():
+    batch = make_batch(n=3, c=2, w=5, h=4)
+    p = build_pixel_representation(batch)
+    assert np.shares_memory(p.data, batch.images)
+    copied = Tensor(batch.images.reshape(p.shape).copy())
+    model = make_model(batch)
+    assert np.array_equal(attention_forward(model, p).data,
+                          attention_forward(model, copied).data)
+
+
 # ---------------------------------------------------------------------------
 # forward modes
 # ---------------------------------------------------------------------------

@@ -163,6 +163,45 @@ def test_conv_per_tap_peak_memory_below_twice_input():
     assert peak < 2 * x.data.nbytes
 
 
+def test_conv_taps_read_input_in_place():
+    # a padded copy alone would be 1.2x the input at this shape
+    x = Tensor(np.random.default_rng(7).standard_normal((1, 512, 24, 20)))
+    kern, bias = conv_params(np.random.default_rng(8), 8, 512, 3)
+    tracemalloc.start()
+    try:
+        with GradientTape() as tape:
+            loss = tensor_sum(conv2d(x, kern, bias))
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern.grad is not None and x.grad is None
+    assert peak < x.data.nbytes / 2
+
+
+# planes no wider than k // 2 in W or H: some taps' shifts reach past the
+# whole plane, so their clipped regions are empty
+@pytest.mark.parametrize("w, h", [(1, 3), (2, 1), (3, 2)])
+@pytest.mark.parametrize("k", [5, 7])
+@pytest.mark.parametrize("cin, cout", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_conv_on_planes_smaller_than_kernel(w, h, k, cin, cout, input_grad):
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((2, cin, w, h)), requires_grad=input_grad)
+    kern = Tensor(rng.standard_normal((cout, cin, k, k)) * 0.3,
+                  requires_grad=True)
+    bias = Tensor(rng.standard_normal(cout) * 0.1, requires_grad=True)
+    ref = conv2d_reference(x.data, kern.data, bias.data, padding=k // 2)
+    assert np.allclose(conv2d(x, kern, bias).data, ref,
+                       rtol=1e-12, atol=1e-12)
+    fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias),
+                                    conv2d(x, kern, bias))),
+             [x, kern, bias] if input_grad else [kern, bias],
+             h=CONV_FD_STEP)
+    if not input_grad:
+        assert x.grad is None
+
+
 def test_conv_params_draw_bounded_kernel_and_zero_bias():
     kernel, bias = conv_params(np.random.default_rng(0), 4, 3, 5)
     expected = np.random.default_rng(0).uniform(
