@@ -11,6 +11,7 @@ Images are (C, W, H) float64 arrays; the width axis is axis 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,12 +44,14 @@ def crop_columns(image: np.ndarray, left: int, right: int) -> np.ndarray:
     return image[:, left:right + 1, :].copy()
 
 
+@functools.cache
 def _overlap_matrix(src: int, dst: int) -> np.ndarray:
     """Row o holds the area weights of source pixels under output pixel o.
 
     Output pixel o back-projects to the interval [o*s, (o+1)*s) with
     s = src/dst; source pixel i covers [i, i+1).  The weight is the overlap
     length divided by s, so each row sums to one and constants are preserved.
+    Built once per size pair and returned read-only, as the cache shares it.
     """
     s = src / dst
     m = np.zeros((dst, src))
@@ -59,6 +62,7 @@ def _overlap_matrix(src: int, dst: int) -> np.ndarray:
             overlap = min(i + 1.0, hi) - max(float(i), lo)
             if overlap > 0:
                 m[o, i] = overlap / s
+    m.flags.writeable = False
     return m
 
 

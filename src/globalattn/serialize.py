@@ -37,10 +37,11 @@ __all__ = [
 MAGIC = b"GTEN"
 
 
-def gten_bytes(array: np.ndarray) -> bytes:
-    """Encode one tensor as float32.  A finite value beyond the float32
-    range raises :class:`DataFormatError`: it would cast to inf, and the
-    blob would not load."""
+def _gten_parts(array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The header of one tensor blob and its values as C-ordered
+    little-endian float32.  A finite value beyond the float32 range raises
+    :class:`DataFormatError`: it would cast to inf, and the blob would not
+    load."""
     try:
         # turns the cast's overflow warning into an error
         with np.errstate(over="raise"):
@@ -49,10 +50,13 @@ def gten_bytes(array: np.ndarray) -> bytes:
     except FloatingPointError as exc:
         raise DataFormatError(
             "tensor holds a value beyond the float32 range") from exc
-    parts = [MAGIC, struct.pack("<I", arr.ndim)]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(arr.tobytes())
-    return b"".join(parts)
+    return MAGIC + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape), arr
+
+
+def gten_bytes(array: np.ndarray) -> bytes:
+    """Encode one tensor as float32; see :func:`_gten_parts`."""
+    head, arr = _gten_parts(array)
+    return head + arr.tobytes()
 
 
 def gten_from_bytes(blob: bytes) -> np.ndarray:
@@ -86,7 +90,12 @@ def gten_from_bytes(blob: bytes) -> np.ndarray:
 
 
 def write_gten(path: str | Path, array: np.ndarray) -> None:
-    Path(path).write_bytes(gten_bytes(array))
+    """Write the bytes of :func:`gten_bytes` straight from the float32 array,
+    with no second copy; a refused value leaves no file."""
+    head, arr = _gten_parts(array)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(memoryview(arr).cast("B"))
 
 
 def read_gten(path: str | Path) -> np.ndarray:

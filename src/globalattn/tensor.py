@@ -11,7 +11,10 @@ conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
 layers come from :func:`conv_params`; its GEMM unrolls the thinner side
 and reads the input unpadded, so the wide pixel representation is never
 copied and is read in place once per product, by one GEMM over all kernel
-taps), relu, sigmoid, 2x2 max-pooling, reshape/flatten, fully-connected,
+taps; the thin side's k*k-times lowered copy lives only through its GEMM,
+and both branches re-read the input in the backward, so a conv input must
+not be written to between forward and backward), relu, sigmoid, 2x2
+max-pooling, reshape/flatten, fully-connected,
 channel concatenation, softmax cross-entropy, the broadcast attention
 multiply and mean-absolute-value; ``mul`` and the ``tensor_sum``
 reduction serve the tests and demos that build scalar losses by hand.
@@ -319,36 +322,61 @@ def conv_params(rng: np.random.Generator, cout: int, cin: int,
             Tensor(np.zeros(cout), requires_grad=True)]
 
 
-def _tap_regions(k: int, w: int, h: int) -> list[tuple[tuple, tuple]]:
-    """Each kernel tap's (output region, input region), in tap order.
+def _tap_runs(k: int, w: int, h: int) -> list[tuple[slice, ...]]:
+    """Each kernel tap's (output run, input run, wrapped output columns,
+    wrapped input columns) on the flattened W*H plane, in tap order.
 
-    Tap (i, j) of a same-size conv reads the input shifted by (i - p, j - p);
-    both regions are that shift clipped to the W x H plane, and empty when
-    the shift reaches past it, so no padded copy of the input is needed.
+    Tap (i, j) of a same-size conv reads the flat input shifted by
+    s = (i - p) * H + (j - p); its runs are [lo, hi) and [lo + s, hi + s),
+    clipped to the plane and empty when the shift reaches past it, so no
+    padded copy of the input is needed.  A horizontal shift dy = j - p != 0
+    wraps |dy| output columns round to a neighbouring row; those outputs,
+    and the input columns they read, are the caller's to zero.  Tap
+    k*k - 1 - t shifts by -s, so its output run is tap t's input run.
     """
-    p = k // 2
+    p, n = k // 2, w * h
 
-    def clip(d: int, n: int) -> tuple[slice, slice]:
-        lo, hi = min(max(0, -d), n), max(min(n, n - d), 0)  # lo == hi if empty
-        return slice(lo, hi), slice(lo + d, hi + d)
+    def run(s: int) -> slice:  # the q with 0 <= q + s < n; lo == hi if none
+        return slice(min(max(0, -s), n), max(min(n, n - s), 0))
 
-    rows = [clip(i - p, w) for i in range(k)]
-    cols = [clip(j - p, h) for j in range(k)]
-    return [((..., dx, dy), (..., sx, sy))
-            for dx, sx in rows for dy, sy in cols]
+    def wrapped(dy: int) -> slice:  # the columns c with c + dy outside [0, H)
+        return slice(max(h - dy, 0), h) if dy > 0 else slice(0, min(-dy, h))
+
+    shifts = [(dx * h + dy, dy)
+              for dx in range(-p, p + 1) for dy in range(-p, p + 1)]
+    return [(run(s), run(-s), wrapped(dy), wrapped(-dy)) for s, dy in shifts]
+
+
+def _lower(x: np.ndarray, runs: list[tuple[slice, ...]], h: int,
+           out: np.ndarray) -> None:
+    """Fill ``out`` (B, C, k*k, W*H), which may be uninitialised, with the
+    im2col lowering of the flat planes ``x`` (B, C, W*H): each tap's input
+    run copied to its output run, zeros elsewhere."""
+    for t, (dst, src, wrap, _) in enumerate(runs):
+        block = out[:, :, t]
+        block[..., :dst.start] = 0.0
+        block[..., dst] = x[..., src]
+        block[..., dst.stop:] = 0.0
+        block.reshape(*block.shape[:-1], -1, h)[..., wrap] = 0.0
 
 
 def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
-    """One GEMM over a k*k-times copy of the input; returns (out, backward)."""
+    """One GEMM over a k*k-times copy of the input; returns (out, backward).
+
+    The copy ``col`` lives only through its GEMM: the backward lowers
+    ``x.data`` again for the kernel's gradient.
+    """
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
-    regions = _tap_regions(k, w, h)
-    col = np.zeros((b, cin, k * k, w, h))
-    for t, (dst, src) in enumerate(regions):
-        col[:, :, t][dst] = x.data[src]
-    colm = col.reshape(b, cin * k * k, w * h)
+    runs = _tap_runs(k, w, h)
+
+    def lowered():
+        col = np.empty((b, cin, k * k, w * h))
+        _lower(x.data.reshape(b, cin, w * h), runs, h, col)
+        return col.reshape(b, cin * k * k, w * h)
+
     km = kernel.data.reshape(cout, cin * k * k)
-    out = np.matmul(km, colm).reshape(b, cout, w, h)
+    out = np.matmul(km, lowered()).reshape(b, cout, w, h)
     out += bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
@@ -356,14 +384,16 @@ def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            gk = np.matmul(gm, colm.transpose(0, 2, 1)).sum(axis=0)
+            gk = np.matmul(gm, lowered().transpose(0, 2, 1)).sum(axis=0)
             _accumulate(kernel, gk.reshape(kernel.data.shape))
-        if x.requires_grad:
-            dcol = np.matmul(km.T, gm).reshape(b, cin, k * k, w, h)
-            gx = np.zeros_like(x.data)
-            for t, (dst, src) in enumerate(regions):
-                gx[src] += dcol[:, :, t][dst]
-            _accumulate(x, gx)
+        if x.requires_grad:  # the rebuilt col is freed before dcol is made
+            dcol = np.matmul(km.T, gm).reshape(b, cin, k * k, w * h)
+            gx = np.zeros((b, cin, w * h))
+            for t, (dst, src, wrap, _) in enumerate(runs):
+                block = dcol[:, :, t]
+                block.reshape(b, cin, w, h)[..., wrap] = 0.0
+                gx[..., src] += block[..., dst]
+            _accumulate(x, gx.reshape(x.shape))
 
     return out, bw
 
@@ -374,26 +404,30 @@ def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor):
 
     The taps' kernels stack tap-major into one (k*k*Cout, Cin) matrix, so
     the GEMM gives every tap's product over the whole W x H plane, and the
-    output adds each tap's rows over that tap's clipped region.
+    output adds each tap's input run, wrapped columns zeroed, onto its
+    output run.
     """
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
-    regions = _tap_regions(k, w, h)
+    runs = _tap_runs(k, w, h)
     xf = x.data.reshape(b, cin, w * h)
     ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-    y = np.matmul(ks, xf).reshape(b, k * k, cout, w, h)
-    out = np.zeros((b, cout, w, h))
-    for t, (dst, src) in enumerate(regions):
-        out[dst] += y[:, t][src]
+    y = np.matmul(ks, xf).reshape(b, k * k, cout, w * h)
+    out = np.zeros((b, cout, w * h))
+    for t, (dst, src, _, wrap) in enumerate(runs):
+        y[:, t].reshape(b, cout, w, h)[..., wrap] = 0.0
+        out[..., dst] += y[:, t, :, src]
+    out = out.reshape(b, cout, w, h)
     out += bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        # each tap's rows hold g at the input pixels that tap read
-        gs = np.zeros((b, k * k, cout, w, h))
-        for t, (dst, src) in enumerate(regions):
-            gs[:, t][src] = g[dst]
+        # each tap's rows hold g at the input pixels that tap read: the
+        # lowering of g under the mirrored taps, which shift by -s
+        gs = np.empty((b, k * k, cout, w * h))
+        _lower(g.reshape(b, cout, w * h), runs[::-1], h,
+               gs.transpose(0, 2, 1, 3))
         gs = gs.reshape(b, k * k * cout, w * h)
         if x.requires_grad:  # ks made anew, so no tape record keeps it
             ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
@@ -421,7 +455,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     output channels, im2col copies the input k*k times into one GEMM;
     otherwise, as for the wide pixel representation, the kernel's k*k taps
     stack into one GEMM that reads the input in place.  Either way each
-    tap's shift is clipped at the border of the W x H plane, not padded.
+    tap's shift is one contiguous run of the flattened W*H plane, clipped
+    at its ends, not padded.  The im2col copy lives only through its GEMM:
+    the backward lowers ``x.data`` again for the kernel's gradient, and the
+    stacked taps read it again too, so ``x.data`` must not be written to
+    between this call and the backward.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ContractError("conv2d: input and kernel must be rank 4")

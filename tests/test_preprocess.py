@@ -3,8 +3,8 @@ import pytest
 
 from globalattn.datasets import ImageBatch
 from globalattn.errors import ConfigError, ContractError
-from globalattn.preprocess import (PreprocessSpec, apply_pipeline,
-                                   crop_columns, hflip, load_flip_indices,
+from globalattn.preprocess import (PreprocessSpec, _overlap_matrix,
+                                   apply_pipeline, crop_columns, hflip, load_flip_indices,
                                    normalize_standardize, packaged_flip_list,
                                    parse_preprocess_spec, resize_area)
 
@@ -91,6 +91,19 @@ def test_resize_upscale_uses_same_footprint_rule():
     out = resize_area(img, (4, 1))
     # each output footprint falls inside one source pixel
     assert np.array_equal(out[0, :, 0], [1.0, 1.0, 3.0, 3.0])
+
+
+def test_resize_overlap_matrix_is_built_once_and_read_only():
+    rng = np.random.default_rng(4)
+    img = rng.standard_normal((3, 45, 38))
+    first = resize_area(img, (16, 16))
+    assert resize_area(img, (16, 16)).tobytes() == first.tobytes()
+    m = _overlap_matrix(45, 16)
+    assert _overlap_matrix(45, 16) is m
+    assert m.tobytes() == _overlap_matrix.__wrapped__(45, 16).tobytes()
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_resize_rejects_empty_target():

@@ -29,6 +29,25 @@ def test_gten_refuses_values_beyond_float32_range(value):
         gten_bytes(np.array([1.0, value]))
 
 
+@pytest.mark.parametrize("arr", [
+    np.asarray(-2.5),
+    np.array([-0.0, 0.0, 1.0]),
+    np.arange(24.0).reshape(4, 6)[::2, ::-3],
+    np.random.default_rng(1).standard_normal((2, 3, 4, 5)),
+], ids=["rank0", "negative-zero", "non-contiguous", "rank4"])
+def test_write_gten_writes_the_bytes_of_gten_bytes(tmp_path, arr):
+    path = tmp_path / "t.gten"
+    write_gten(path, arr)
+    assert path.read_bytes() == gten_bytes(arr)
+
+
+def test_write_gten_refusing_a_value_writes_no_file(tmp_path):
+    path = tmp_path / "t.gten"
+    with pytest.raises(DataFormatError, match="float32 range"):
+        write_gten(path, np.array([1e39]))
+    assert not path.exists()
+
+
 def test_checkpoint_refusing_a_tensor_writes_no_file(tmp_path):
     path = tmp_path / "model.ckpt"
     with pytest.raises(DataFormatError, match="float32 range"):

@@ -202,6 +202,41 @@ def test_conv_on_planes_smaller_than_kernel(w, h, k, cin, cout, input_grad):
         assert x.grad is None
 
 
+# long, thin planes: a horizontal tap shift wraps a column of the
+# flattened plane round to a neighbouring row, and those entries must read 0
+@pytest.mark.parametrize("w, h", [(9, 2), (2, 9), (5, 3)])
+@pytest.mark.parametrize("k", [3, 5, 7])
+@pytest.mark.parametrize("cin, cout", [(2, 3), (3, 2)])
+def test_conv_on_long_thin_planes(w, h, k, cin, cout):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((2, cin, w, h)), requires_grad=True)
+    kern = Tensor(rng.standard_normal((cout, cin, k, k)) * 0.3,
+                  requires_grad=True)
+    bias = Tensor(rng.standard_normal(cout) * 0.1, requires_grad=True)
+    ref = conv2d_reference(x.data, kern.data, bias.data, padding=k // 2)
+    assert np.allclose(conv2d(x, kern, bias).data, ref,
+                       rtol=1e-12, atol=1e-12)
+    fd_check(lambda: tensor_sum(mul(conv2d(x, kern, bias),
+                                    conv2d(x, kern, bias))),
+             [x, kern, bias], h=CONV_FD_STEP)
+
+
+def test_conv_tape_holds_no_lowered_copy_of_the_input():
+    # the k*k-times im2col copy would hold 3.4x the output at this shape
+    x = Tensor(np.random.default_rng(11).standard_normal((32, 3, 32, 32)))
+    kern, bias = conv_params(np.random.default_rng(12), 8, 3, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with GradientTape() as tape:
+            out = conv2d(x, kern, bias)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert held < 1.5 * out.data.nbytes
+
+
 def test_conv_params_draw_bounded_kernel_and_zero_bias():
     kernel, bias = conv_params(np.random.default_rng(0), 4, 3, 5)
     expected = np.random.default_rng(0).uniform(

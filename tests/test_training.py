@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,6 +166,31 @@ def test_repeated_train_reuses_the_freed_heap():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 1000
+
+
+def joint_epoch_peak(n):
+    spec = SyntheticSpec(n=n, c=1, w=64, h=64, relevant_region=(16, 16, 47, 47),
+                         num_classes=3, signal_strength=2.0, noise_std=1.0,
+                         seed=2)
+    tr = generate_synthetic(spec)[0]
+    te = generate_synthetic(replace(spec, n=8, seed=3))[0]
+    cfg = TrainConfig(total_epochs=1, cutoff_epoch=1, batch_size=8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(tr, te, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start, tr.images.nbytes
+
+
+def test_train_memory_follows_the_batch_not_the_dataset():
+    # a copy of the dataset or of the pixel representation held across a
+    # step would grow the peak by at least the added training bytes
+    small, small_bytes = joint_epoch_peak(50)
+    large, large_bytes = joint_epoch_peak(200)
+    assert large - small <= 0.25 * (large_bytes - small_bytes)
 
 
 def test_divergence_aborts_with_epoch_index():
