@@ -11,9 +11,11 @@ conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
 layers come from :func:`conv_params`; its GEMM unrolls the thinner side
 and reads the input unpadded, so the wide pixel representation is never
 copied and is read in place once per product, by one GEMM over all kernel
-taps; the thin side's k*k-times lowered copy lives only through its GEMM,
-and both branches re-read the input in the backward, so a conv input must
-not be written to between forward and backward), relu, sigmoid, 2x2
+taps; the thin side's k*k-times lowered copy is made about _LOWERED_BYTES
+at a time, so it stays near the cache that its GEMM reads it from, and
+lives only through its pass; both branches re-read the input in the
+backward, so a conv input must not be written to between forward and
+backward), relu, sigmoid, 2x2
 max-pooling, reshape/flatten, fully-connected,
 channel concatenation, softmax cross-entropy, the broadcast attention
 multiply and mean-absolute-value; ``mul`` and the ``tensor_sum``
@@ -28,6 +30,7 @@ row-major order.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -322,7 +325,8 @@ def conv_params(rng: np.random.Generator, cout: int, cin: int,
             Tensor(np.zeros(cout), requires_grad=True)]
 
 
-def _tap_runs(k: int, w: int, h: int) -> list[tuple[slice, ...]]:
+@functools.cache
+def _tap_runs(k: int, w: int, h: int) -> tuple[tuple[slice, ...], ...]:
     """Each kernel tap's (output run, input run, wrapped output columns,
     wrapped input columns) on the flattened W*H plane, in tap order.
 
@@ -333,6 +337,7 @@ def _tap_runs(k: int, w: int, h: int) -> list[tuple[slice, ...]]:
     wraps |dy| output columns round to a neighbouring row; those outputs,
     and the input columns they read, are the caller's to zero.  Tap
     k*k - 1 - t shifts by -s, so its output run is tap t's input run.
+    Memoised per plane, so it returns a tuple.
     """
     p, n = k // 2, w * h
 
@@ -344,10 +349,11 @@ def _tap_runs(k: int, w: int, h: int) -> list[tuple[slice, ...]]:
 
     shifts = [(dx * h + dy, dy)
               for dx in range(-p, p + 1) for dy in range(-p, p + 1)]
-    return [(run(s), run(-s), wrapped(dy), wrapped(-dy)) for s, dy in shifts]
+    return tuple((run(s), run(-s), wrapped(dy), wrapped(-dy))
+                 for s, dy in shifts)
 
 
-def _lower(x: np.ndarray, runs: list[tuple[slice, ...]], h: int,
+def _lower(x: np.ndarray, runs: Sequence[tuple[slice, ...]], h: int,
            out: np.ndarray) -> None:
     """Fill ``out`` (B, C, k*k, W*H), which may be uninitialised, with the
     im2col lowering of the flat planes ``x`` (B, C, W*H): each tap's input
@@ -360,39 +366,69 @@ def _lower(x: np.ndarray, runs: list[tuple[slice, ...]], h: int,
         block.reshape(*block.shape[:-1], -1, h)[..., wrap] = 0.0
 
 
-def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
-    """One GEMM over a k*k-times copy of the input; returns (out, backward).
+# Bytes of the k*k-fold im2col copy, or of its gradient, made at a time.
+# A whole-batch copy runs to tens of MB, so its lowering writes far past the
+# cache that the GEMM then reads it back from; a chunk the size of a core's
+# L2 stays close to it (2 MiB was faster end to end than 4 or 8 MiB).
+_LOWERED_BYTES = 2 << 20
 
-    The copy ``col`` lives only through its GEMM: the backward lowers
-    ``x.data`` again for the kernel's gradient.
+
+def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
+    """One GEMM per image over a k*k-times copy of the input; returns (out,
+    backward).
+
+    The copy is made in near-equal chunks of images, each at most one
+    image's lowering past _LOWERED_BYTES, in one buffer per pass that the
+    chunks reuse and that is freed before the next pass makes its own.  The
+    backward lowers ``x.data`` again for the kernel's gradient and makes
+    the copy's gradient in chunks too.  Each image's products are summed in
+    image order, as for one chunk, so the chunking changes no bit.
     """
     b, cin, w, h = x.shape
     cout, _, k, _ = kernel.shape
     runs = _tap_runs(k, w, h)
+    xf = x.data.reshape(b, cin, w * h)
+    km = kernel.data.reshape(cout, cin * k * k)
+    parts = -(-xf.nbytes * k * k // _LOWERED_BYTES)  # near-equal chunks
+    step = -(-b // parts)
+    chunks = [slice(i, i + step) for i in range(0, b, step)]
 
     def lowered():
-        col = np.empty((b, cin, k * k, w * h))
-        _lower(x.data.reshape(b, cin, w * h), runs, h, col)
-        return col.reshape(b, cin * k * k, w * h)
+        col = np.empty((step, cin, k * k, w * h))
+        for c in chunks:
+            part = col[:len(xf[c])]
+            _lower(xf[c], runs, h, part)
+            yield c, part.reshape(-1, cin * k * k, w * h)
 
-    km = kernel.data.reshape(cout, cin * k * k)
-    out = np.matmul(km, lowered()).reshape(b, cout, w, h)
+    out = np.empty((b, cout, w * h))
+    for c, part in lowered():
+        np.matmul(km, part, out=out[c])
+    out = out.reshape(b, cout, w, h)
     out += bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
         gm = g.reshape(b, cout, w * h)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:
-            gk = np.matmul(gm, lowered().transpose(0, 2, 1)).sum(axis=0)
+        if kernel.requires_grad:  # summed image by image, as for one chunk
+            prods = (np.matmul(gm[c], part.transpose(0, 2, 1))
+                     for c, part in lowered())
+            gk = next(prods).sum(axis=0)
+            for prod in prods:
+                for gi in prod:
+                    gk += gi
             _accumulate(kernel, gk.reshape(kernel.data.shape))
         if x.requires_grad:  # the rebuilt col is freed before dcol is made
-            dcol = np.matmul(km.T, gm).reshape(b, cin, k * k, w * h)
             gx = np.zeros((b, cin, w * h))
-            for t, (dst, src, wrap, _) in enumerate(runs):
-                block = dcol[:, :, t]
-                block.reshape(b, cin, w, h)[..., wrap] = 0.0
-                gx[..., src] += block[..., dst]
+            dcol = np.empty((step, cin * k * k, w * h))
+            for c in chunks:
+                d = np.matmul(km.T, gm[c], out=dcol[:len(gm[c])])
+                d = d.reshape(-1, cin, k * k, w * h)
+                for t, (dst, src, wrap, _) in enumerate(runs):
+                    block = d[:, :, t]
+                    block.reshape(-1, cin, w, h)[..., wrap] = 0.0
+                    gx[c, :, src] += block[..., dst]
+            del dcol, d
             _accumulate(x, gx.reshape(x.shape))
 
     return out, bw
@@ -456,10 +492,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     otherwise, as for the wide pixel representation, the kernel's k*k taps
     stack into one GEMM that reads the input in place.  Either way each
     tap's shift is one contiguous run of the flattened W*H plane, clipped
-    at its ends, not padded.  The im2col copy lives only through its GEMM:
-    the backward lowers ``x.data`` again for the kernel's gradient, and the
-    stacked taps read it again too, so ``x.data`` must not be written to
-    between this call and the backward.
+    at its ends, not padded.  The im2col copy is made a chunk of images at
+    a time, about _LOWERED_BYTES, because a whole-batch copy of tens of MB
+    would be written far past the cache and read back from memory by the
+    GEMM; each image's products sum in the same order, so chunking changes
+    no bit.  The copy lives only through its pass: the backward lowers
+    ``x.data`` again for the kernel's gradient, and the stacked taps read
+    it again too, so ``x.data`` must not be written to between this call
+    and the backward.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ContractError("conv2d: input and kernel must be rank 4")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from globalattn import tensor
 from globalattn.errors import ConfigError, ContractError
 from globalattn.gradcheck import finite_diff_grad, grad_discrepancy
 from globalattn.tensor import (GradientTape, Tensor, add, backward,
@@ -235,6 +236,107 @@ def test_conv_tape_holds_no_lowered_copy_of_the_input():
         tracemalloc.stop()
     assert len(tape) == 1
     assert held < 1.5 * out.data.nbytes
+
+
+def test_tap_runs_are_memoised_and_immutable():
+    runs = tensor._tap_runs(3, 7, 6)
+    assert tensor._tap_runs(3, 7, 6) is runs
+    assert isinstance(runs, tuple) and len(runs) == 9
+    assert all(isinstance(run, tuple) for run in runs)
+
+
+def test_conv_outputs_do_not_depend_on_cached_tap_runs():
+    rng = np.random.default_rng(13)
+
+    def run(cin, cout):
+        x = Tensor(rng.standard_normal((2, cin, 7, 6)), requires_grad=True)
+        kern, bias = conv_params(rng, cout, cin, 3)
+        with GradientTape() as tape:
+            loss = tensor_sum(mul(conv2d(x, kern, bias), conv2d(x, kern, bias)))
+        backward(loss, tape)
+        return loss.data.tobytes() + kern.grad.tobytes() + x.grad.tobytes()
+
+    for cin, cout in ((2, 3), (3, 2)):
+        tensor._tap_runs.cache_clear()
+        state = rng.bit_generator.state
+        fresh = run(cin, cout)
+        rng.bit_generator.state = state
+        assert run(cin, cout) == fresh
+
+
+def _lowered_image_bytes(cin, k, w, h):
+    return cin * k * k * w * h * 8
+
+
+# (batch, budget in images' lowerings, expected chunk sizes): uneven near-
+# equal chunks, a budget below one image's lowering, and a single image
+CHUNKINGS = ((5, 2.0, [2, 2, 1]), (3, 0.5, [1, 1, 1]), (1, 0.5, [1]))
+
+
+@pytest.mark.parametrize("b, images, sizes", CHUNKINGS)
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_conv_im2col_chunks_match_one_chunk_bitwise(monkeypatch, b, images,
+                                                    sizes, input_grad):
+    cin, cout, k, w, h = 2, 3, 3, 6, 5
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((b, cin, w, h)), requires_grad=input_grad)
+    kern = Tensor(rng.standard_normal((cout, cin, k, k)) * 0.3,
+                  requires_grad=True)
+    bias = Tensor(rng.standard_normal(cout) * 0.1, requires_grad=True)
+    params = [x, kern, bias] if input_grad else [kern, bias]
+
+    def loss():
+        return tensor_sum(mul(conv2d(x, kern, bias), conv2d(x, kern, bias)))
+
+    def outputs():
+        with GradientTape() as tape:
+            out = conv2d(x, kern, bias)
+            total = tensor_sum(mul(out, out))
+        backward(total, tape)
+        got = [out.data.tobytes()] + [p.grad.tobytes() for p in params]
+        tape.clear()
+        return got
+
+    whole = outputs()
+    lowered = []
+    lower = tensor._lower
+
+    def spy(xs, runs, hh, out):
+        lowered.append(len(xs))
+        lower(xs, runs, hh, out)
+
+    monkeypatch.setattr(tensor, "_lower", spy)
+    monkeypatch.setattr(tensor, "_LOWERED_BYTES",
+                        int(images * _lowered_image_bytes(cin, k, w, h)))
+    assert outputs() == whole
+    assert lowered == sizes + sizes  # the forward, then dK's rebuild
+    ref = conv2d_reference(x.data, kern.data, bias.data, padding=k // 2)
+    assert np.allclose(conv2d(x, kern, bias).data, ref,
+                       rtol=1e-12, atol=1e-12)
+    fd_check(loss, params, h=CONV_FD_STEP)
+    if not input_grad:
+        assert x.grad is None
+
+
+def test_conv_im2col_lowers_at_most_its_budget_at_a_time():
+    # the whole-batch lowering alone would be 28.3 MB at this shape
+    x = Tensor(np.random.default_rng(15).standard_normal((32, 3, 64, 64)),
+               requires_grad=True)
+    kern, bias = conv_params(np.random.default_rng(16), 8, 3, 3)
+    tracemalloc.start()
+    try:
+        with GradientTape() as tape:
+            out = conv2d(x, kern, bias)
+            loss = tensor_sum(out)
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern.grad is not None and x.grad is not None
+    # out and its gradient, the input gradient and its summing buffer, and
+    # one chunk of the lowering, which runs at most one image over budget
+    chunk = tensor._LOWERED_BYTES + _lowered_image_bytes(3, 3, 64, 64)
+    assert peak < 2 * out.data.nbytes + 2 * x.data.nbytes + chunk
 
 
 def test_conv_params_draw_bounded_kernel_and_zero_bias():
