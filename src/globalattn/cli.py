@@ -21,7 +21,7 @@ from .errors import ConfigError, ContractError, DataFormatError, DivergenceError
 from .manifest import RunManifest
 from .preprocess import apply_pipeline, load_preprocess_spec
 from .serialize import save_model_checkpoint, write_gten
-from .synthetic import generate_synthetic, load_synthetic_spec, split_train_test
+from .synthetic import generate_synthetic, load_synthetic_spec, split_indices
 from .training import (_check_compatible, config_kv, load_train_config, sweep,
                        sweep_csv_text, train)
 from .config import (Field, field_keys, load_kv_file, parse_fields,
@@ -36,18 +36,20 @@ EXIT_DIVERGED = 4
 
 def _cmd_gen(args) -> int:
     spec = load_synthetic_spec(args.spec)
+    splits = split_indices(spec.n, 0.8, spec.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    batch, mask = generate_synthetic(spec)
-    train_set, test_set = split_train_test(batch, 0.8, spec.seed)
     manifest = RunManifest("gen", load_kv_file(args.spec), spec.seed)
-    manifest.add_artifacts(save_dataset(train_set, out / "train"))
-    manifest.add_artifacts(save_dataset(test_set, out / "test"))
+    # each split is drawn, written and dropped before the next is drawn
+    for stem, indices in zip(("train", "test"), splits):
+        batch, mask = generate_synthetic(spec, indices)
+        manifest.add_artifacts(save_dataset(batch, out / stem))
+        del batch
     mask_path = out / "mask.gten"
     write_gten(mask_path, mask)
     manifest.add_artifact(mask_path)
     manifest.write(out / "manifest.txt")
-    print(f"wrote {train_set.n} train / {test_set.n} test images to {out}")
+    print(f"wrote {splits[0].size} train / {splits[1].size} test images to {out}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Field, format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, ContractError, DataFormatError
-from .serialize import read_gten, write_gten
+from .serialize import atomic_write, read_gten, write_gten
 
 __all__ = ["ImageBatch", "save_dataset", "load_dataset"]
 
@@ -78,13 +78,17 @@ def _paths(stem: str | Path) -> tuple[Path, Path, Path]:
 
 
 def save_dataset(batch: ImageBatch, stem: str | Path) -> list[Path]:
-    """Write ``<stem>.gten``, ``<stem>.labels.csv`` and ``<stem>.meta``."""
+    """Write ``<stem>.gten``, ``<stem>.labels.csv`` and ``<stem>.meta``,
+    each replaced atomically, so a failed write leaves that file's old
+    bytes."""
     tensor_path, labels_path, meta_path = _paths(stem)
     write_gten(tensor_path, batch.images)
     rows = ["index,label"]
     rows.extend(f"{i},{int(label)}" for i, label in enumerate(batch.labels))
-    labels_path.write_text("\n".join(rows) + "\n")
-    meta_path.write_text(format_kv(format_fields(_META_FIELDS, batch)))
+    texts = ("\n".join(rows) + "\n", format_kv(format_fields(_META_FIELDS, batch)))
+    for path, text in zip((labels_path, meta_path), texts):
+        with atomic_write(path) as fh:
+            fh.write(text.encode("utf-8"))
     return [tensor_path, labels_path, meta_path]
 
 

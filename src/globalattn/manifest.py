@@ -3,7 +3,8 @@
 Every CLI command writes one flat key-value manifest next to its outputs,
 listing the resolved configuration, the seed, start/end timestamps, and a
 hex-encoded 64-bit FNV-1a checksum per artifact (``seeding.fnv1a64``, a
-vectorised form of the byte-at-a-time loop with the same digests).
+vectorised form of the byte-at-a-time loop with the same digests), which
+streams the file rather than reading it whole.
 Replaying the command with the same config and seed reproduces identical
 checksums (timestamps aside).
 """
@@ -14,14 +15,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import format_kv
-from .seeding import fnv1a64
+from .seeding import _FNV_CHUNK, fnv1a64_chunks
 
 __all__ = ["checksum_file", "RunManifest"]
 
 
 def checksum_file(path: str | Path) -> str:
-    """Hex 64-bit FNV-1a over the file's bytes, zero-padded to 16 digits."""
-    return f"{fnv1a64(Path(path).read_bytes()):016x}"
+    """Hex 64-bit FNV-1a over the file's bytes, zero-padded to 16 digits,
+    read ``_FNV_CHUNK`` bytes at a time."""
+    with open(path, "rb") as fh:
+        digest = fnv1a64_chunks(iter(lambda: fh.read(_FNV_CHUNK), b""))
+    return f"{digest:016x}"
 
 
 class RunManifest:

@@ -33,10 +33,17 @@ def fnv1a64(data: bytes) -> int:
     mod 2**64`` from ``FNV_OFFSET``, evaluated with numpy one chunk at a
     time (see ``_fnv1a64_chunk``), so every digest equals the plain loop's.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
+    view = memoryview(data).cast("B")
+    return fnv1a64_chunks(view[start:start + _FNV_CHUNK]
+                          for start in range(0, len(view), _FNV_CHUNK))
+
+
+def fnv1a64_chunks(chunks) -> int:
+    """:func:`fnv1a64` of the concatenation of ``chunks``, byte strings of
+    1 to ``_FNV_CHUNK`` bytes each, holding only one of them at a time."""
     h = FNV_OFFSET
-    for start in range(0, buf.size, _FNV_CHUNK):
-        h = _fnv1a64_chunk(h, buf[start:start + _FNV_CHUNK])
+    for chunk in chunks:
+        h = _fnv1a64_chunk(h, np.frombuffer(chunk, dtype=np.uint8))
     return h
 
 

@@ -15,7 +15,9 @@ are loaded.
 from __future__ import annotations
 
 import io
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import ConfigError, DataFormatError
 __all__ = [
     "gten_bytes",
     "gten_from_bytes",
+    "atomic_write",
     "write_gten",
     "read_gten",
     "write_checkpoint",
@@ -89,11 +92,28 @@ def gten_from_bytes(blob: bytes) -> np.ndarray:
     return values.astype(np.float64).reshape(dims)
 
 
+@contextmanager
+def atomic_write(path: str | Path):
+    """A binary handle on a temporary sibling of ``path`` that replaces
+    ``path`` (``os.replace``) when the block ends.  If the block raises,
+    the temporary file is removed and ``path`` keeps its old bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_gten(path: str | Path, array: np.ndarray) -> None:
     """Write the bytes of :func:`gten_bytes` straight from the float32 array,
-    with no second copy; a refused value leaves no file."""
+    with no second copy, replacing ``path`` atomically; a refused value
+    leaves no file."""
     head, arr = _gten_parts(array)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(head)
         fh.write(memoryview(arr).cast("B"))
 

@@ -18,12 +18,13 @@ import numpy as np
 from .config import (Field, field_keys, format_ints, load_kv_file,
                      parse_fields, parse_float, parse_ints, parse_kv_text)
 from .datasets import ImageBatch
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .seeding import SPLIT, TEMPLATES, mix_seed, rng_for
 
 __all__ = [
     "SyntheticSpec",
     "generate_synthetic",
+    "split_indices",
     "split_train_test",
     "load_synthetic_spec",
     "parse_synthetic_spec",
@@ -100,37 +101,52 @@ def _orthogonal_templates(spec: SyntheticSpec) -> np.ndarray:
     return basis.reshape(spec.num_classes, spec.c, rw, rh)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[ImageBatch, np.ndarray]:
+def generate_synthetic(spec: SyntheticSpec, indices: np.ndarray | None = None
+                       ) -> tuple[ImageBatch, np.ndarray]:
     """Build the dataset and its binary (W, H) relevance mask.
 
     Labels cycle through the classes so every class appears equally often.
     Image i draws its noise from the stream ``mix_seed(seed, i)``, which
-    makes generation reproducible per image.
+    makes generation reproducible per image.  ``indices`` draws only those
+    images, in that order, bit for bit equal to
+    ``generate_synthetic(spec)[0].subset(indices)``; the default is all N.
     """
+    indices = np.arange(spec.n) if indices is None else np.asarray(indices)
+    if (indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer)
+            or ((indices < 0) | (indices >= spec.n)).any()):
+        raise ContractError(f"indices must be a 1-D integer array in [0, {spec.n})")
     templates = _orthogonal_templates(spec)
     sx, sy = spec.region_slices
-    labels = np.arange(spec.n, dtype=np.int64) % spec.num_classes
-    images = np.empty((spec.n, spec.c, spec.w, spec.h))
-    for i in range(spec.n):
+    labels = indices % spec.num_classes
+    images = np.empty((indices.size, spec.c, spec.w, spec.h))
+    for row, i in enumerate(indices.tolist()):
         rng = np.random.default_rng(mix_seed(spec.seed, i))
-        images[i] = rng.standard_normal((spec.c, spec.w, spec.h)) * spec.noise_std
-        images[i][:, sx, sy] += spec.signal_strength * templates[labels[i]]
+        images[row] = rng.standard_normal((spec.c, spec.w, spec.h)) * spec.noise_std
+        images[row][:, sx, sy] += spec.signal_strength * templates[labels[row]]
     mask = np.zeros((spec.w, spec.h))
     mask[sx, sy] = 1.0
     return ImageBatch(images, labels, spec.num_classes), mask
 
 
-def split_train_test(batch: ImageBatch, train_fraction: float,
-                     seed: int) -> tuple[ImageBatch, ImageBatch]:
-    """Split by a seeded shuffle; the train part gets floor(N * fraction)."""
+def split_indices(n: int, train_fraction: float,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test indices of a seeded shuffle of ``range(n)``; the train
+    part gets the first floor(n * fraction)."""
     if not 0 < train_fraction < 1:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    perm = rng_for(seed, SPLIT).permutation(batch.n)
-    n_train = int(batch.n * train_fraction)
-    if n_train < 1 or n_train >= batch.n:
+    perm = rng_for(seed, SPLIT).permutation(n)
+    n_train = int(n * train_fraction)
+    if n_train < 1 or n_train >= n:
         raise ConfigError(
-            f"split of {batch.n} images at {train_fraction} leaves an empty side")
-    return batch.subset(perm[:n_train]), batch.subset(perm[n_train:])
+            f"split of {n} images at {train_fraction} leaves an empty side")
+    return perm[:n_train], perm[n_train:]
+
+
+def split_train_test(batch: ImageBatch, train_fraction: float,
+                     seed: int) -> tuple[ImageBatch, ImageBatch]:
+    """Split by the seeded shuffle of :func:`split_indices`."""
+    train_idx, test_idx = split_indices(batch.n, train_fraction, seed)
+    return batch.subset(train_idx), batch.subset(test_idx)
 
 
 def parse_synthetic_spec(text: str) -> SyntheticSpec:

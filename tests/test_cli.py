@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ from globalattn.cli import main
 from globalattn.config import load_kv_file
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
+from globalattn.synthetic import (generate_synthetic, parse_synthetic_spec,
+                                  split_train_test)
 
 from oracles import fnv1a64_reference
 
@@ -84,6 +87,54 @@ def test_gen_invalid_field_exits_2(tmp_path, capsys):
                  SYNTH_SPEC.replace("num_classes = 3", "num_classes = 1"))
     assert main(["gen", "--spec", spec, "--out", str(tmp_path / "d")]) == 2
     assert "num_classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {},
+    {"N = 30": "N = 37", "C = 1": "C = 3", "seed = 11": "seed = 5"},
+    {"N = 30": "N = 11", "W = 8": "W = 9", "num_classes = 3": "num_classes = 2"},
+], ids=["base", "rgb-n37", "n11-9x8"])
+def test_gen_writes_the_bytes_of_the_split_whole_set(tmp_path, edit):
+    text = SYNTH_SPEC
+    for old, new in edit.items():
+        text = text.replace(old, new)
+    out = run_gen(tmp_path, spec_text=text)
+    spec = parse_synthetic_spec(text)
+    batch, mask = generate_synthetic(spec)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for stem, part in zip(("train", "test"), split_train_test(batch, 0.8, spec.seed)):
+        save_dataset(part, ref / stem)
+    write_gten(ref / "mask.gten", mask)
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.txt")
+    assert written == sorted(p.name for p in ref.iterdir())
+    for name in written:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_gen_of_a_single_image_exits_2_before_writing(tmp_path, capsys):
+    spec = write(tmp_path / "one.cfg", SYNTH_SPEC.replace("N = 30", "N = 1"))
+    out = tmp_path / "d"
+    assert main(["gen", "--spec", spec, "--out", str(out)]) == 2
+    assert "empty side" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_holds_one_split_at_a_time(tmp_path):
+    # one split's float64 values and their float32 copy are at most 1.2x the
+    # set's bytes; the whole set beside its two split copies would be 2.4x
+    run_gen(tmp_path, "warm-up")  # first-call imports are not the command's
+    big = SYNTH_SPEC.replace("N = 30", "N = 60").replace("C = 1", "C = 3")
+    spec = write(tmp_path / "big.cfg",
+                 big.replace("W = 8", "W = 32").replace("H = 8", "H = 32"))
+    dataset_bytes = 60 * 3 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--spec", spec, "--out", str(tmp_path / "d")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * dataset_bytes
 
 
 # ---------------------------------------------------------------------------

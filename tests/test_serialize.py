@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from globalattn import datasets, serialize
 from globalattn.attention import AttentionModel
 from globalattn.classifier import ClassifierModel
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
@@ -46,6 +49,32 @@ def test_write_gten_refusing_a_value_writes_no_file(tmp_path):
     with pytest.raises(DataFormatError, match="float32 range"):
         write_gten(path, np.array([1e39]))
     assert not path.exists()
+
+
+def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    stem = tmp_path / "d"
+    save_dataset(ImageBatch(np.zeros((2, 1, 2, 2)), [0, 1], 2), stem)
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real, writes = serialize.atomic_write, []
+
+    @contextmanager
+    def failing_second_write(path):
+        writes.append(path)
+        with real(path) as fh:
+            if len(writes) == 2:
+                fh.write(b"partial")
+                raise OSError("disk full")
+            yield fh
+
+    for module in (serialize, datasets):
+        monkeypatch.setattr(module, "atomic_write", failing_second_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(ImageBatch(np.ones((3, 1, 2, 2)), [1, 0, 1], 2), stem)
+    assert [p.name for p in writes] == ["d.gten", "d.labels.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
+    assert (tmp_path / "d.labels.csv").read_bytes() == old["d.labels.csv"]
+    assert (tmp_path / "d.meta").read_bytes() == old["d.meta"]
+    assert read_gten(tmp_path / "d.gten").shape == (3, 1, 2, 2)
 
 
 def test_checkpoint_refusing_a_tensor_writes_no_file(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from globalattn.errors import ConfigError
+from globalattn.errors import ConfigError, ContractError
 from globalattn.synthetic import (SyntheticSpec, generate_synthetic,
                                   parse_synthetic_spec, split_train_test)
 
@@ -101,6 +101,30 @@ def test_split_rejects_degenerate_fractions():
     batch, _ = generate_synthetic(make_spec())
     with pytest.raises(ConfigError):
         split_train_test(batch, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("pick", [
+    lambda n: np.random.default_rng(3).permutation(n),
+    lambda n: np.arange(n)[::-1][: n // 2],
+    lambda n: np.array([n - 2]),
+], ids=["shuffled", "reversed-half", "single"])
+def test_drawing_indices_equals_subsetting_the_whole_set(pick):
+    spec = make_spec(n=13, c=3, seed=4)
+    whole, mask = generate_synthetic(spec)
+    idx = pick(spec.n)
+    part, part_mask = generate_synthetic(spec, idx)
+    expected = whole.subset(idx)
+    assert part.images.tobytes() == expected.images.tobytes()
+    assert part.labels.tobytes() == expected.labels.tobytes()
+    assert part.num_classes == expected.num_classes
+    assert part_mask.tobytes() == mask.tobytes()
+
+
+@pytest.mark.parametrize("idx", [[-1], [12], [[0, 1]], [0.0], [True]],
+                         ids=["negative", "n", "2-d", "float", "bool"])
+def test_drawing_an_index_outside_the_set_is_refused(idx):
+    with pytest.raises(ContractError, match="indices"):
+        generate_synthetic(make_spec(), np.array(idx))
 
 
 def test_parse_spec_roundtrip():
