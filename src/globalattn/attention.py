@@ -20,6 +20,7 @@ Three modes:
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -119,13 +120,19 @@ class AttentionModel:
         return sum(p.size for p in self.params)
 
 
-def attention_forward(model: AttentionModel, p: Tensor) -> Tensor:
+def attention_forward(model: AttentionModel, p: Tensor,
+                      conv: Callable[..., Tensor] | None = None) -> Tensor:
     """Evaluate the global weight map, shape (1, 1, W, H).
 
     In ``pixel_cnn`` mode values lie in (0, 1]: fp64 rounds the sigmoid of
     a logit above about 36.7 to exactly 1.0.  The ``l1_pixel_weights``
     baseline returns its raw multipliers; ``none`` returns all ones.
+    ``conv``, if given, is called in place of :func:`conv2d`, so that a
+    caller can read every layer's input and preactivation.
     """
+    # resolved per call, so a wrapper put on this module's conv2d (as in
+    # perfbench/tracing.py) still sees every conv
+    conv = conv2d if conv is None else conv
     expected = (1, model.in_channels, model.width, model.height)
     if model.mode == "pixel_cnn" and p.shape != expected:
         raise ContractError(
@@ -138,9 +145,9 @@ def attention_forward(model: AttentionModel, p: Tensor) -> Tensor:
     x = p
     for layer in range(model.depth - 1):
         kernel, bias = model.params[2 * layer], model.params[2 * layer + 1]
-        hidden.append(relu(conv2d(x, kernel, bias)))
+        hidden.append(relu(conv(x, kernel, bias)))
         x = concat_channels(hidden) if model.dense_connections else hidden[-1]
-    return sigmoid(conv2d(x, model.params[-2], model.params[-1]))
+    return sigmoid(conv(x, model.params[-2], model.params[-1]))
 
 
 def attention_l1_penalty(model: AttentionModel, weight_map: Tensor) -> Tensor:

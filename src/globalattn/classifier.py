@@ -10,7 +10,7 @@ overfits background noise, which the attention map is meant to mitigate.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,8 +77,16 @@ class ClassifierModel:
         return sum(p.size for p in self.params)
 
 
-def classifier_forward(model: ClassifierModel, weighted: Tensor) -> Tensor:
-    """Logits (B, L) for a batch of (possibly attention-weighted) images."""
+def classifier_forward(model: ClassifierModel, weighted: Tensor,
+                       conv: Callable[..., Tensor] | None = None) -> Tensor:
+    """Logits (B, L) for a batch of (possibly attention-weighted) images.
+
+    ``conv``, if given, is called in place of :func:`conv2d`, so that a
+    caller can read every stage's input and preactivation.
+    """
+    # resolved per call, so a wrapper put on this module's conv2d (as in
+    # perfbench/tracing.py) still sees every conv
+    conv = conv2d if conv is None else conv
     if weighted.shape[1:] != (model.in_channels, model.width, model.height):
         raise ContractError(
             f"classifier built for {(model.in_channels, model.width, model.height)}"
@@ -86,7 +94,7 @@ def classifier_forward(model: ClassifierModel, weighted: Tensor) -> Tensor:
     x = weighted
     for i in range(len(model.stages)):
         kernel, bias = model.params[2 * i], model.params[2 * i + 1]
-        x = relu(maxpool2x2(conv2d(x, kernel, bias)))
+        x = relu(maxpool2x2(conv(x, kernel, bias)))
     return linear(flatten(x), model.params[-2], model.params[-1])
 
 

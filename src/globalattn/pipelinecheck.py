@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import AttentionModel
-from .classifier import ClassifierModel
+from .attention import AttentionModel, attention_forward
+from .classifier import ClassifierModel, classifier_forward
 from .datasets import ImageBatch
 from .errors import ConfigError
 from .gradcheck import GradCheckResult, finite_diff_grad, grad_discrepancy
 from .seeding import mix_seed
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tensor import GradientTape, Tensor, backward
+from .tensor import GradientTape, Tensor, backward, broadcast_mul, conv2d
 from .training import TrainConfig, build_models, compute_cost
 
 __all__ = ["full_pipeline_gradcheck"]
@@ -34,7 +34,9 @@ __all__ = ["full_pipeline_gradcheck"]
 MAX_SIZE = 16
 MAX_IMAGES = 4
 _REDRAW = 0x3B1B448D3C0633DD  # seeding.stream_tag("gradcheck-redraw")
-_MAX_REDRAWS = 500
+# Draws per step size; the default 8x8, 2-image check clears at h = 1e-3
+# after 215 failed draws, and a larger budget only delays the next step.
+_MAX_REDRAWS = 250
 
 
 def _clearing_shift(preacts: np.ndarray, margin: float) -> float | None:
@@ -50,7 +52,7 @@ def _clearing_shift(preacts: np.ndarray, margin: float) -> float | None:
     return None
 
 
-def _pool_gaps_clear(preacts: Tensor, margin: float) -> bool:
+def _pool_gaps_clear(preacts: np.ndarray, margin: float) -> bool:
     """True when every pool window whose top two ``preacts`` (the conv output
     that a stage pools before its ReLU) are positive separates them by margin.
 
@@ -59,7 +61,7 @@ def _pool_gaps_clear(preacts: Tensor, margin: float) -> bool:
     competitors shift by at most h times their own taps.
     """
     b, c, w, hh = preacts.shape
-    windows = (preacts.data.reshape(b, c, w // 2, 2, hh // 2, 2)
+    windows = (preacts.reshape(b, c, w // 2, 2, hh // 2, 2)
                .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, -1, 4))
     top2 = np.sort(windows, axis=-1)[..., -2:]
     gap = top2[..., 1] - top2[..., 0]
@@ -69,13 +71,22 @@ def _pool_gaps_clear(preacts: Tensor, margin: float) -> bool:
     return bool((gap[contested] >= margin).all()) if contested.any() else True
 
 
-def _taped_forward(attention: AttentionModel, classifier: ClassifierModel,
-                   p: Tensor, batch: ImageBatch) -> dict:
-    """Tape records of ``compute_cost``'s forward pass, by last input id."""
-    with GradientTape() as tape:
-        compute_cost(Tensor(batch.images), batch.labels, attention, classifier,
-                     p, 0.0)
-    return {id(rec.inputs[-1]): rec for rec in tape._records}
+def _conv_io(attention: AttentionModel, classifier: ClassifierModel,
+             p: Tensor, batch: ImageBatch
+             ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Input and preactivation of every conv in an untaped forward pass of
+    ``compute_cost``, keyed by the id of the conv's bias."""
+    io = {}
+
+    def conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+        out = conv2d(x, kernel, bias)
+        io[id(bias)] = x.data, out.data
+        return out
+
+    weight_map = attention_forward(attention, p, conv=conv)
+    classifier_forward(classifier, broadcast_mul(Tensor(batch.images),
+                                                 weight_map), conv=conv)
+    return io
 
 
 def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
@@ -84,21 +95,21 @@ def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
 
     Visits every bias that feeds a ReLU in forward order, re-running the
     forward pass each time so that later layers see the shifted
-    activations.  The conv record whose last input is the bias gives the
-    conv input and the preactivations that the shift must clear.
+    activations.  The conv whose bias it is gives the input and the
+    preactivations that the shift must clear.
     """
     stage_biases = classifier.params[1:-2:2]
     for bias in attention.params[1:-2:2] + stage_biases:
-        conv = _taped_forward(attention, classifier, p, batch)[id(bias)]
-        margin = 2.5 * h * (1.0 + float(np.abs(conv.inputs[0].data).max()))
+        x, preacts = _conv_io(attention, classifier, p, batch)[id(bias)]
+        margin = 2.5 * h * (1.0 + float(np.abs(x).max()))
         for ch in range(bias.size):
-            shift = _clearing_shift(conv.output.data[:, ch], margin)
+            shift = _clearing_shift(preacts[:, ch], margin)
             if shift is None:
                 return False
             bias.data[ch] += shift
         if bias in stage_biases:
-            conv = _taped_forward(attention, classifier, p, batch)[id(bias)]
-            if not _pool_gaps_clear(conv.output, margin):
+            _, preacts = _conv_io(attention, classifier, p, batch)[id(bias)]
+            if not _pool_gaps_clear(preacts, margin):
                 return False
     return True
 

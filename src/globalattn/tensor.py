@@ -1,10 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A :class:`Tensor` wraps a float64 numpy array plus an optional gradient
-buffer of the same shape.  Differentiable operations append one record to
-the innermost active :class:`GradientTape`; :func:`backward` replays the
-tape in reverse execution order, accumulating gradients additively, so a
-tensor consumed by k operations receives the sum of k contributions.
+A :class:`Tensor` wraps a float64 numpy array plus a gradient slot that
+holds its shape and optional gradient buffer, but not its data.
+Differentiable operations append one record to the innermost active
+:class:`GradientTape`; :func:`backward` replays the tape in reverse
+execution order, accumulating gradients additively, so a tensor consumed
+by k operations receives the sum of k contributions.
+
+A record holds the slots of its output and inputs, and its backward rule
+takes the input slots and closes over only the arrays it reads: a conv its
+input and kernel, a relu its bool mask, a max-pool which entry of each
+window won, a sigmoid its output.  So a taped step keeps no conv or pool
+output alive that no later layer reads.  :func:`backward` drops each
+produced tensor's gradient once its own record's backward has run.
 
 Only the layer types the two networks need are provided: a same-size
 conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
@@ -60,15 +68,51 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A dense float64 array with an optional gradient buffer."""
+class _Slot:
+    """Where a tensor's gradient accumulates: the tensor's shape, whether it
+    takes a gradient, and the gradient buffer, but not its data.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    Tape records hold slots, not tensors, and hand the input slots to the
+    backward rule, so a taped step keeps alive only the arrays that some
+    backward rule closes over to read.
+    """
+
+    __slots__ = ("shape", "requires_grad", "grad")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.shape = shape
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+
+    def zero_grad(self) -> None:
+        if self.grad is not None:
+            self.grad.fill(0.0)
+
+
+class Tensor:
+    """A dense float64 array with an optional gradient buffer.
+
+    ``data`` may be replaced only by an array of the same shape, since the
+    gradient slot keeps the shape the tensor was made with.
+    """
+
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._slot = _Slot(self.data.shape, bool(requires_grad))
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot.requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._slot.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,29 +127,33 @@ class Tensor:
             raise ContractError("item() requires a single-element tensor")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        # one pass, same bytes as zeros + g (a -0.0 becomes +0.0)
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+def _accumulate(s: _Slot, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` to the gradient in slot ``s``.
+
+    A first gradient is stored as zeros + g, so a -0.0 becomes +0.0.  A
+    ``fresh`` g, one that its backward rule made itself and hands over,
+    becomes the buffer in place; any other g may be a view or go to several
+    slots, so it is copied.
+    """
+    if s.grad is None:
+        s.grad = np.add(g, 0.0, out=g if fresh else np.empty(s.shape))
     else:
-        t.grad += g
+        s.grad += g
 
 
 class _Record:
-    """One executed operation: output, inputs, and its backward rule."""
+    """One executed operation: the gradient slots of its output and inputs,
+    and its backward rule, which takes the output's gradient and the input
+    slots."""
 
     __slots__ = ("output", "inputs", "backward_fn")
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...],
-                 backward_fn: Callable[[np.ndarray], None]):
+    def __init__(self, output: _Slot, inputs: tuple[_Slot, ...],
+                 backward_fn: Callable[..., None]):
         self.output = output
         self.inputs = inputs
         self.backward_fn = backward_fn
@@ -147,9 +195,9 @@ class GradientTape:
         produced = {id(rec.output) for rec in self._records}
         for rec in self._records:
             rec.output.grad = None
-            for t in rec.inputs:
-                if id(t) not in produced:
-                    t.zero_grad()
+            for s in rec.inputs:
+                if id(s) not in produced:
+                    s.zero_grad()
         self._records.clear()
 
 
@@ -157,25 +205,28 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     """Accumulate d(loss)/d(tensor) into every tensor reachable on ``tape``.
 
     ``loss`` must be a single-element tensor produced through the tape.
-    Gradients add onto existing buffers; callers zero them between steps
-    with ``tape.clear()``.
+    Gradients add onto the buffers of the tensors the tape only read;
+    callers zero them between steps with ``tape.clear()``.  A tensor that
+    the tape produced has its gradient dropped once its own record's
+    backward has run, since every use of it was recorded after it.
     """
     if loss.data.size != 1:
         raise ContractError(
             f"backward() requires a scalar loss, got shape {loss.shape}")
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(loss._slot, np.ones_like(loss.data), fresh=True)
     for rec in reversed(tape._records):
-        g = rec.output.grad
-        if g is None:
-            continue
-        rec.backward_fn(g)
+        out = rec.output
+        if out.grad is not None:
+            rec.backward_fn(out.grad, *rec.inputs)
+            out.grad = None
 
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...],
-           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+           backward_fn: Callable[..., None]) -> Tensor:
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad and _TAPES:
-        _TAPES[-1]._record(_Record(out, inputs, backward_fn))
+        _TAPES[-1]._record(_Record(out._slot, tuple(t._slot for t in inputs),
+                                   backward_fn))
     return out
 
 
@@ -188,11 +239,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ContractError(f"add: shapes {a.shape} and {b.shape} differ")
 
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
+    def bw(g, sa, sb):
+        if sa.requires_grad:
+            _accumulate(sa, g)
+        if sb.requires_grad:
+            _accumulate(sb, g)
 
     return _apply(a.data + b.data, (a, b), bw)
 
@@ -201,9 +252,9 @@ def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
 
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
+    def bw(g, sa):
+        if sa.requires_grad:
+            _accumulate(sa, g * c)
 
     return _apply(a.data * c, (a,), bw)
 
@@ -212,23 +263,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.shape != b.shape:
         raise ContractError(f"mul: shapes {a.shape} and {b.shape} differ")
+    ad, bd = a.data, b.data
 
-    def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
+    def bw(g, sa, sb):
+        if sa.requires_grad:
+            _accumulate(sa, g * bd)
+        if sb.requires_grad:
+            _accumulate(sb, g * ad)
 
-    return _apply(a.data * b.data, (a, b), bw)
+    return _apply(ad * bd, (a, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(0, x); the subgradient at 0 is 0."""
+    """max(0, x); the subgradient at 0 is 0.  Its backward keeps the mask."""
     mask = x.data > 0
 
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g * mask)
+    def bw(g, sx):
+        if sx.requires_grad:
+            _accumulate(sx, g * mask, fresh=True)
 
     return _apply(np.where(mask, x.data, 0.0), (x,), bw)
 
@@ -247,9 +299,9 @@ def sigmoid(x: Tensor) -> Tensor:
     """Logistic function 1/(1+e^-x), overflow-safe for large |x|."""
     s = _sigmoid_stable(x.data)
 
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g * s * (1.0 - s))
+    def bw(g, sx):
+        if sx.requires_grad:
+            _accumulate(sx, g * s * (1.0 - s))
 
     return _apply(s, (x,), bw)
 
@@ -257,31 +309,31 @@ def sigmoid(x: Tensor) -> Tensor:
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a rank-0 tensor."""
 
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, np.full_like(x.data, float(g)))
+    def bw(g, sx):
+        if sx.requires_grad:
+            _accumulate(sx, np.full(sx.shape, float(g)))
 
     return _apply(np.asarray(x.data.sum()), (x,), bw)
 
 
 def l1_mean(x: Tensor) -> Tensor:
     """Mean absolute value; backward is sign(x)/n with sign(0) = 0."""
-    n = x.data.size
+    xd = x.data
 
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, (float(g) / n) * np.sign(x.data))
+    def bw(g, sx):
+        if sx.requires_grad:
+            _accumulate(sx, (float(g) / xd.size) * np.sign(xd))
 
-    return _apply(np.asarray(np.abs(x.data).mean()), (x,), bw)
+    return _apply(np.asarray(np.abs(xd).mean()), (x,), bw)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     """View the same values under a new shape of equal element count."""
     shape = tuple(shape)
 
-    def bw(g):
-        if x.requires_grad:
-            _accumulate(x, g.reshape(x.data.shape))
+    def bw(g, sx):
+        if sx.requires_grad:
+            _accumulate(sx, g.reshape(sx.shape))
 
     return _apply(x.data.reshape(shape), (x,), bw)
 
@@ -303,10 +355,10 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     sizes = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[:, lo:hi])
+    def bw(g, *slots):
+        for s, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
+            if s.requires_grad:
+                _accumulate(s, g[:, lo:hi])
 
     return _apply(np.concatenate([p.data for p in parts], axis=1), parts, bw)
 
@@ -406,19 +458,23 @@ def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
     out = out.reshape(b, cout, w, h)
     out += bias.data.reshape(1, cout, 1, 1)
 
-    def bw(g):
+    def bw(g, sx, sk, sb):
         gm = g.reshape(b, cout, w * h)
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:  # summed image by image, as for one chunk
-            prods = (np.matmul(gm[c], part.transpose(0, 2, 1))
-                     for c, part in lowered())
-            gk = next(prods).sum(axis=0)
-            for prod in prods:
-                for gi in prod:
-                    gk += gi
-            _accumulate(kernel, gk.reshape(kernel.data.shape))
-        if x.requires_grad:  # the rebuilt col is freed before dcol is made
+        if sb.requires_grad:
+            _accumulate(sb, g.sum(axis=(0, 2, 3)))
+        if sk.requires_grad:
+            # rows 1.. take a chunk's per-image products and row 0 the sum
+            # so far, so one sum over rows adds them in image order
+            rows = np.empty((step + 1, cout, cin * k * k))
+            first = 1
+            for c, part in lowered():
+                last = len(gm[c]) + 1
+                np.matmul(gm[c], part.transpose(0, 2, 1), out=rows[1:last])
+                rows[0] = rows[first:last].sum(axis=0)
+                first = 0
+            del part  # the rebuilt col is freed before dcol is made
+            _accumulate(sk, rows[0].reshape(sk.shape))
+        if sx.requires_grad:
             gx = np.zeros((b, cin, w * h))
             dcol = np.empty((step, cin * k * k, w * h))
             for c in chunks:
@@ -429,7 +485,7 @@ def _conv_im2col(x: Tensor, kernel: Tensor, bias: Tensor):
                     block.reshape(-1, cin, w, h)[..., wrap] = 0.0
                     gx[c, :, src] += block[..., dst]
             del dcol, d
-            _accumulate(x, gx.reshape(x.shape))
+            _accumulate(sx, gx.reshape(sx.shape), fresh=True)
 
     return out, bw
 
@@ -447,7 +503,8 @@ def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor):
     cout, _, k, _ = kernel.shape
     runs = _tap_runs(k, w, h)
     xf = x.data.reshape(b, cin, w * h)
-    ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+    kd = kernel.data
+    ks = kd.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
     y = np.matmul(ks, xf).reshape(b, k * k, cout, w * h)
     out = np.zeros((b, cout, w * h))
     for t, (dst, src, _, wrap) in enumerate(runs):
@@ -456,25 +513,24 @@ def _conv_taps(x: Tensor, kernel: Tensor, bias: Tensor):
     out = out.reshape(b, cout, w, h)
     out += bias.data.reshape(1, cout, 1, 1)
 
-    def bw(g):
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+    def bw(g, sx, sk, sb):
+        if sb.requires_grad:
+            _accumulate(sb, g.sum(axis=(0, 2, 3)))
         # each tap's rows hold g at the input pixels that tap read: the
         # lowering of g under the mirrored taps, which shift by -s
         gs = np.empty((b, k * k, cout, w * h))
         _lower(g.reshape(b, cout, w * h), runs[::-1], h,
                gs.transpose(0, 2, 1, 3))
         gs = gs.reshape(b, k * k * cout, w * h)
-        if x.requires_grad:  # ks made anew, so no tape record keeps it
-            ks = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
-            _accumulate(x, np.matmul(ks.T, gs).reshape(x.shape))
-        if kernel.requires_grad:
+        if sx.requires_grad:  # ks made anew, so no tape record keeps it
+            ks = kd.transpose(2, 3, 0, 1).reshape(k * k * cout, cin)
+            _accumulate(sx, np.matmul(ks.T, gs).reshape(sx.shape), fresh=True)
+        if sk.requires_grad:
             gk = gs[0] @ xf[0].T
             for i in range(1, b):
                 gk += gs[i] @ xf[i].T
             del gs  # freed before the kernel's gradient buffer is made
-            _accumulate(kernel,
-                        gk.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
+            _accumulate(sk, gk.reshape(k, k, cout, cin).transpose(2, 3, 0, 1))
 
     return out, bw
 
@@ -524,29 +580,44 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return _apply(out, (x, kernel, bias), bw)
 
 
+def _pool_choice(top: np.ndarray, bot: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each window's first max lies: per window, whether the top row
+    wins (max(b, a) >= max(d, c)), and per row pair, whether the left entry
+    wins (a >= b on top rows, c >= d on bottom rows)."""
+    return top >= bot, left >= right
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2: max(max(a, b), max(c, d)) over strided
-    views of each window's rows a, b and c, d; the gradient goes to the first
-    max in the order a, b, c, d (first row on a tie, then left entry)."""
+    """2x2 max pooling with stride 2 over windows [[a, b], [c, d]].
+
+    One np.maximum over the column pairs of the whole plane puts max(b, a)
+    in each window's top row and max(d, c) in its bottom row; one over the
+    row pairs then gives max(max(d, c), max(b, a)).  The gradient goes to
+    the first max in the order a, b, c, d (first row on a tie, then left
+    entry).  Only a taped call keeps that choice (:func:`_pool_choice`),
+    3/32 of the input's bytes, and no view of the input.
+    """
     w, h = x.shape[2:]
     if w % 2 or h % 2:
         raise ContractError(f"maxpool2x2: spatial size {w}x{h} not even")
-    windows = x.data.reshape(*x.shape[:2], w // 2, 2, h // 2, 2)
-    a, b, c, d = (windows[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    left, right = x.data[..., 0::2], x.data[..., 1::2]
     # np.maximum keeps its second operand on a +-0 tie: the first max wins
-    top, bot = np.maximum(b, a), np.maximum(d, c)
+    rows = np.maximum(right, left)
+    top, bot = rows[:, :, 0::2], rows[:, :, 1::2]
     out = np.maximum(bot, top)
+    taped = x.requires_grad and _TAPES  # as _apply records it
+    choice = _pool_choice(top, bot, left, right) if taped else None
 
-    def bw(g):
-        if not x.requires_grad:
-            return
-        up, left_top, left_bot = top >= bot, a >= b, c >= d
+    def bw(g, sx):
+        up, left_wins = choice
+        left_top, left_bot = left_wins[:, :, 0::2], left_wins[:, :, 1::2]
         firsts = up & left_top, up > left_top, left_bot > up, ~(up | left_bot)
-        gx = np.empty_like(x.data)  # the four masks partition the windows
-        gw = gx.reshape(windows.shape)
+        gx = np.empty(sx.shape)  # the four masks partition the windows
+        gw = gx.reshape(*sx.shape[:2], w // 2, 2, h // 2, 2)
         for k, first in enumerate(firsts):
             np.multiply(g, first, out=gw[:, :, :, k // 2, :, k % 2])
-        _accumulate(x, gx)
+        _accumulate(sx, gx, fresh=True)
 
     return _apply(out, (x,), bw)
 
@@ -561,15 +632,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (weight.shape[1],):
         raise ContractError(f"linear: bias shape {bias.shape} mismatched")
 
-    def bw(g):
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
-        if weight.requires_grad:
-            _accumulate(weight, x.data.T @ g)
-        if x.requires_grad:
-            _accumulate(x, g @ weight.data.T)
+    xd, wd = x.data, weight.data
 
-    return _apply(x.data @ weight.data + bias.data, (x, weight, bias), bw)
+    def bw(g, sx, sw, sb):
+        if sb.requires_grad:
+            _accumulate(sb, g.sum(axis=0))
+        if sw.requires_grad:
+            _accumulate(sw, xd.T @ g)
+        if sx.requires_grad:
+            _accumulate(sx, g @ wd.T)
+
+    return _apply(xd @ wd + bias.data, (x, weight, bias), bw)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -594,11 +667,11 @@ def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     loss = -logp[np.arange(b), y].mean()
     softmax = exps / denom
 
-    def bw(g):
-        if logits.requires_grad:
+    def bw(g, sl):
+        if sl.requires_grad:
             delta = softmax.copy()
             delta[np.arange(b), y] -= 1.0
-            _accumulate(logits, (float(g) / b) * delta)
+            _accumulate(sl, (float(g) / b) * delta)
 
     return _apply(np.asarray(loss), (logits,), bw)
 
@@ -618,11 +691,12 @@ def broadcast_mul(images: Tensor, weight_map: Tensor) -> Tensor:
         raise ContractError(
             f"broadcast_mul: spatial dims {images.shape[2:]} != {weight_map.shape[2:]}")
 
-    def bw(g):
-        if images.requires_grad:
-            _accumulate(images, g * weight_map.data)
-        if weight_map.requires_grad:
-            _accumulate(weight_map,
-                        (g * images.data).sum(axis=(0, 1), keepdims=True))
+    imd, md = images.data, weight_map.data
 
-    return _apply(images.data * weight_map.data, (images, weight_map), bw)
+    def bw(g, si, sm):
+        if si.requires_grad:
+            _accumulate(si, g * md, fresh=True)
+        if sm.requires_grad:
+            _accumulate(sm, (g * imd).sum(axis=(0, 1), keepdims=True))
+
+    return _apply(imd * md, (images, weight_map), bw)

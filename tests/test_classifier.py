@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from globalattn import tensor
 from globalattn.classifier import (ClassifierModel, accuracy,
                                    classifier_forward, predict)
 from globalattn.errors import ConfigError, ContractError, DataFormatError
@@ -140,6 +142,55 @@ def test_forward_equals_relu_before_pool_bitwise():
     assert logits_a.tobytes() == logits_b.tobytes()
     for ga, gb in zip(grads_a, grads_b):
         assert ga.tobytes() == gb.tobytes()
+
+
+def test_taped_step_keeps_only_what_its_backward_reads():
+    # a tape that kept every record's input and output held 25.6 MB after
+    # this forward and peaked at 55.8 MB in the backward
+    model = make_model(w=64, h=64, c=3, stages=(8, 16), seed=5)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.standard_normal((32, 3, 64, 64)))
+    labels = rng.integers(0, 3, 32)
+
+    def step():
+        with GradientTape() as tape:
+            loss = softmax_cross_entropy(classifier_forward(model, x), labels)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+        tape.clear()
+        return held, peak
+
+    step()  # first-call allocations (memoised tap runs, grads) do not count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        held, peak = step()
+    finally:
+        tracemalloc.stop()
+    # the ReLU outputs that the next layers read (3.1 MB), their masks and
+    # the pool choices
+    assert held - start < 8e6
+    assert peak - start < 28e6
+
+
+def test_only_a_taped_forward_keeps_pool_choices(monkeypatch):
+    model = make_model()
+    x = Tensor(np.random.default_rng(9).standard_normal((2, 1, 8, 8)))
+    choices = []
+    pool_choice = tensor._pool_choice
+
+    def spy(*args):
+        choices.append(args[0].shape)
+        return pool_choice(*args)
+
+    monkeypatch.setattr(tensor, "_pool_choice", spy)
+    classifier_forward(model, x)
+    assert choices == []
+    with GradientTape():
+        classifier_forward(model, x)
+    assert choices == [(2, 4, 4, 4), (2, 8, 2, 2)]
 
 
 def test_classifier_checkpoint_roundtrip(tmp_path):

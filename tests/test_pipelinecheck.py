@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from globalattn import tensor
-from globalattn.pipelinecheck import _draw_instance, full_pipeline_gradcheck
+from globalattn.pipelinecheck import (_conv_io, _draw_instance,
+                                      full_pipeline_gradcheck)
 from globalattn.synthetic import SyntheticSpec, generate_synthetic
-from globalattn.tensor import GradientTape, Tensor
-from globalattn.training import compute_cost
 
 
 @pytest.mark.parametrize("arch", [{}, {"dense_connections": True, "depth": 4}],
@@ -20,16 +19,13 @@ def test_conditioning_clears_every_relu_input(arch):
         batch, 0, 1e-3, channels=4, stages=(4, 8), **arch)
 
     relu_biases = attention.params[1:-2:2] + classifier.params[1:-2:2]
-    with GradientTape() as tape:
-        compute_cost(Tensor(batch.images), batch.labels, attention, classifier,
-                     p, 0.05)
-    convs = [rec for rec in tape._records
-             if any(rec.inputs[-1] is b for b in relu_biases)]
+    io = _conv_io(attention, classifier, p, batch)
+    convs = [io[id(b)] for b in relu_biases]
     assert len(convs) == attention.depth - 1 + len(classifier.stages)
-    for rec in convs:
-        margin = 2.5 * h * (1.0 + np.abs(rec.inputs[0].data).max())
+    for x, preacts in convs:
+        margin = 2.5 * h * (1.0 + np.abs(x).max())
         # slack for the rounding of the shifted bias inside the conv sum
-        assert np.abs(rec.output.data).min() >= margin * (1.0 - 1e-9)
+        assert np.abs(preacts).min() >= margin * (1.0 - 1e-9)
 
 
 # The first attention conv maps images * c input channels (c = 1 here) to

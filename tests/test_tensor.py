@@ -607,6 +607,104 @@ def test_cleared_tapes_give_a_reused_parameter_fresh_tape_gradients():
     assert np.array_equal(kern.grad, np.zeros_like(kern.data))
 
 
+def test_backward_drops_produced_gradients_and_adoption_changes_no_bit(
+        monkeypatch):
+    # both conv branches, the pool, the ReLU and broadcast_mul hand their
+    # input gradients over; copying them instead must give the same bytes
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((4, 2, 8, 8)), requires_grad=True)
+    wmap = Tensor(rng.uniform(0.0, 1.0, (1, 1, 8, 8)), requires_grad=True)
+    wide = conv_params(rng, 6, 2, 3)  # im2col
+    thin = conv_params(rng, 3, 6, 3)  # stacked taps
+    head = [Tensor(rng.standard_normal((12, 3)) * 0.3, requires_grad=True),
+            Tensor(np.zeros(3), requires_grad=True)]
+    leaves = [x, wmap, *wide, *thin, *head]
+
+    def grads():
+        with GradientTape() as tape:
+            h = relu(maxpool2x2(conv2d(broadcast_mul(x, wmap), *wide)))
+            h = relu(maxpool2x2(conv2d(h, *thin)))
+            loss = add(softmax_cross_entropy(linear(flatten(h), *head),
+                                             [0, 2, 1, 1]),
+                       scale(l1_mean(wmap), 0.1))
+        backward(loss, tape)
+        assert len(tape) == 13
+        assert all(rec.output.grad is None for rec in tape._records)
+        assert h.grad is None and loss.grad is None
+        got = [t.grad.tobytes() for t in leaves]
+        tape.clear()
+        return got
+
+    adopted = grads()
+    accumulate = tensor._accumulate
+    monkeypatch.setattr(tensor, "_accumulate",
+                        lambda s, g, fresh=False: accumulate(s, g))
+    assert grads() == adopted
+
+
+def test_tape_records_and_backward_rules_hold_no_tensor():
+    # a Tensor held by a record or by a rule's closure would keep its data
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    wmap = Tensor(rng.uniform(0.0, 1.0, (1, 1, 4, 4)), requires_grad=True)
+    wide = conv_params(rng, 3, 2, 3)  # im2col
+    thin = conv_params(rng, 2, 6, 1)  # stacked taps
+    head = [Tensor(rng.standard_normal((8, 3)), requires_grad=True),
+            Tensor(np.zeros(3), requires_grad=True)]
+    with GradientTape() as tape:
+        m = sigmoid(mul(x, scale(x, 0.5)))
+        h = relu(maxpool2x2(conv2d(broadcast_mul(m, wmap), *wide)))
+        h = conv2d(concat_channels([h, h]), *thin)
+        loss = add(softmax_cross_entropy(linear(flatten(h), *head), [0, 1]),
+                   add(tensor_sum(m), l1_mean(wmap)))
+    assert len(tape) == 16
+    for rec in tape._records:
+        held = [rec.output, *rec.inputs]
+        held += [c.cell_contents for c in rec.backward_fn.__closure__ or ()]
+        assert not any(isinstance(v, Tensor) for v in held), rec.backward_fn
+    backward(loss, tape)
+    assert all(t.grad is not None for t in (x, wmap, *wide, *thin, *head))
+
+
+def test_gradients_handed_to_several_operands_or_as_views_are_copied():
+    # add hands one array to both operands, here one operand twice;
+    # concat_channels hands out slices of its gradient and reshape a view
+    rng = np.random.default_rng(23)
+    a, b, c, d = (Tensor(rng.standard_normal((2, n, 4, 4)), requires_grad=True)
+                  for n in (3, 2, 1, 2))
+    wa, wbc, wd = (rng.standard_normal(shape)
+                   for shape in ((2, 3, 4, 4), (2, 3, 4, 4), (2, 32)))
+    with GradientTape() as tape:
+        terms = (mul(add(a, a), Tensor(wa)),
+                 mul(concat_channels([b, c]), Tensor(wbc)),
+                 mul(reshape(d, (2, 32)), Tensor(wd)))
+        loss = add(add(tensor_sum(terms[0]), tensor_sum(terms[1])),
+                   tensor_sum(terms[2]))
+    backward(loss, tape)
+    assert np.array_equal(a.grad, wa + wa)
+    assert np.array_equal(b.grad, wbc[:, :2])
+    assert np.array_equal(c.grad, wbc[:, 2:])
+    assert np.array_equal(d.grad, wd.reshape(d.shape))
+    grads = [t.grad for t in (a, b, c, d)]
+    for i, grad in enumerate(grads):
+        assert grad.base is None and grad.flags.c_contiguous
+        assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
+
+
+@pytest.mark.parametrize("op", ["relu", "maxpool2x2", "broadcast_mul"])
+def test_adopted_gradient_stores_negative_zero_as_positive_zero(op):
+    # a negative upstream gradient times a zero mask entry is -0.0
+    x = Tensor([[[[-1.0, 2.0], [3.0, 1.0]]]], requires_grad=True)
+    wmap = Tensor([[[[0.0, 1.0], [1.0, 0.0]]]])
+    f = {"relu": relu, "maxpool2x2": maxpool2x2,
+         "broadcast_mul": lambda t: broadcast_mul(t, wmap)}[op]
+    with GradientTape() as tape:
+        loss = tensor_sum(scale(f(x), -1.0))
+    backward(loss, tape)
+    zero = x.grad == 0.0
+    assert zero.any() and not np.signbit(x.grad[zero]).any()
+
+
 # ---------------------------------------------------------------------------
 # pooling, linear, reshape, concat
 # ---------------------------------------------------------------------------
