@@ -27,6 +27,7 @@ import numpy as np
 from .config import Field, format_bool, parse_bool
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
+from .serialize import write_file
 from .tensor import (Tensor, concat_channels, conv2d, conv_params, l1_mean,
                      relu, sigmoid)
 
@@ -158,8 +159,9 @@ def attention_l1_penalty(model: AttentionModel, weight_map: Tensor) -> Tensor:
 
 
 def export_attention_map(weight_map: Tensor | np.ndarray,
-                         base_path: str | Path) -> list[Path]:
-    """Write ``<base>.csv`` (raw values) and ``<base>.pgm`` (visualization).
+                         base_path: str | Path) -> dict[Path, str]:
+    """Write ``<base>.csv`` (raw values) and ``<base>.pgm`` (visualization),
+    each through ``serialize.write_file``; return ``{path: digest}``.
 
     The CSV holds one row per y, columns ordered by x.  The PGM is 8-bit
     binary grayscale of the min-max normalized values, 255 at the maximum
@@ -182,8 +184,7 @@ def export_attention_map(weight_map: Tensor | np.ndarray,
 
     rows = [",".join(repr(float(data[x, y])) for x in range(w))
             for y in range(h)]
-    csv_path.write_text("\n".join(rows) + "\n")
-
+    csv = ("\n".join(rows) + "\n").encode("ascii")
     lo, hi = float(data.min()), float(data.max())
     if hi > lo:
         norm = (data - lo) / (hi - lo)
@@ -191,5 +192,5 @@ def export_attention_map(weight_map: Tensor | np.ndarray,
         norm = np.zeros_like(data)
     pixels = np.rint(norm * 255.0).astype(np.uint8)
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    pgm_path.write_bytes(header + pixels.T.tobytes())
-    return [csv_path, pgm_path]
+    return {csv_path: write_file(csv_path, csv),
+            pgm_path: write_file(pgm_path, header, pixels.T.tobytes())}

@@ -20,7 +20,7 @@ from .datasets import ImageBatch, load_dataset, save_dataset
 from .errors import ConfigError, ContractError, DataFormatError, DivergenceError
 from .manifest import RunManifest
 from .preprocess import apply_pipeline, load_preprocess_spec
-from .serialize import save_model_checkpoint, write_gten
+from .serialize import save_model_checkpoint, write_file, write_gten
 from .synthetic import generate_synthetic, load_synthetic_spec, split_indices
 from .training import (_check_compatible, config_kv, load_train_config, sweep,
                        sweep_csv_text, train)
@@ -34,41 +34,50 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
+def _out_dir(path: Path) -> Path:
+    """Make the output directory ``path``; a file in its place is a
+    configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def _cmd_gen(args) -> int:
     spec = load_synthetic_spec(args.spec)
     splits = split_indices(spec.n, 0.8, spec.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("gen", load_kv_file(args.spec), spec.seed)
+    out = _out_dir(Path(args.out))
+    manifest = RunManifest(out / "manifest.txt", "gen",
+                           load_kv_file(args.spec), spec.seed)
     # each split is drawn, written and dropped before the next is drawn
     for stem, indices in zip(("train", "test"), splits):
         batch, mask = generate_synthetic(spec, indices)
         manifest.add_artifacts(save_dataset(batch, out / stem))
         del batch
     mask_path = out / "mask.gten"
-    write_gten(mask_path, mask)
-    manifest.add_artifact(mask_path)
-    manifest.write(out / "manifest.txt")
+    manifest.add_artifacts({mask_path: write_gten(mask_path, mask)})
+    manifest.write()
     print(f"wrote {splits[0].size} train / {splits[1].size} test images to {out}")
     return EXIT_OK
 
 
 def _cmd_preprocess(args) -> int:
     spec = load_preprocess_spec(args.spec)
-    in_dir, out = Path(args.in_dir), Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    in_dir, out = Path(args.in_dir), _out_dir(Path(args.out))
     stems = [s for s in ("train", "test")
              if (in_dir / f"{s}.gten").exists()]
     if not stems:
         raise DataFormatError(f"no train.gten or test.gten under {in_dir}")
-    manifest = RunManifest("preprocess", load_kv_file(args.spec), None)
     # every split is processed before any is written, so a failure leaves
     # no partial output behind
     processed = [apply_pipeline(spec, load_dataset(in_dir / stem))
                  for stem in stems]
+    manifest = RunManifest(out / "manifest.txt", "preprocess",
+                           load_kv_file(args.spec), None)
     for stem, batch in zip(stems, processed):
         manifest.add_artifacts(save_dataset(batch, out / stem))
-    manifest.write(out / "manifest.txt")
+    manifest.write()
     print(f"preprocessed {', '.join(stems)} into {out}")
     return EXIT_OK
 
@@ -86,23 +95,21 @@ def _load_splits(data_dir: Path) -> tuple[ImageBatch, ImageBatch]:
 
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(Path(args.out))
     train_set, test_set = _load_splits(Path(args.data))
     report = train(train_set, test_set, cfg)
-    manifest = RunManifest("train", config_kv(cfg), cfg.seed)
+    manifest = RunManifest(out / "manifest.txt", "train", config_kv(cfg),
+                           cfg.seed)
     report_path = out / "report.csv"
-    report_path.write_text(report.csv_text())
-    manifest.add_artifact(report_path)
+    manifest.add_artifacts(
+        {report_path: write_file(report_path, report.csv_text().encode())})
     for epoch, snap in sorted(report.snapshots.items()):
         manifest.add_artifacts(
             export_attention_map(snap, out / f"attention_epoch{epoch}"))
-    attention, classifier = report.final_models
-    attn_path, clf_path = out / "attention.ckpt", out / "classifier.ckpt"
-    save_model_checkpoint(attention, attn_path)
-    save_model_checkpoint(classifier, clf_path)
-    manifest.add_artifacts([attn_path, clf_path])
-    manifest.write(out / "manifest.txt")
+    for model, name in zip(report.final_models, ("attention", "classifier")):
+        path = out / f"{name}.ckpt"
+        manifest.add_artifacts({path: save_model_checkpoint(model, path)})
+    manifest.write()
     last = report.rows[-1]
     print(f"trained {cfg.total_epochs} epochs: final train acc "
           f"{last.train_acc:.2f}%, test acc {last.test_acc:.2f}%")
@@ -131,16 +138,18 @@ def _cmd_sweep(args) -> int:
     cfg = load_train_config(args.config)
     grid = load_kv_file(args.grid, field_keys(_GRID_FIELDS))
     values = parse_fields(_GRID_FIELDS, grid, required=True)
+    out_csv = Path(args.out)
+    if out_csv.is_dir():
+        raise ConfigError(f"--out {out_csv} is a directory, not a CSV path")
+    _out_dir(out_csv.parent)
     train_set, test_set = _load_splits(Path(args.data))
     rows = sweep(train_set, test_set, cfg, **values, jobs=args.jobs)
-    out_csv = Path(args.out)
-    if out_csv.parent != Path(""):
-        out_csv.parent.mkdir(parents=True, exist_ok=True)
-    out_csv.write_text(sweep_csv_text(rows))
-    manifest = RunManifest("sweep", {**config_kv(cfg), **{
-        f"grid.{f.key}": grid[f.key] for f in _GRID_FIELDS}}, cfg.seed)
-    manifest.add_artifact(out_csv)
-    manifest.write(out_csv.with_name(out_csv.name + ".manifest.txt"))
+    grid_kv = {f"grid.{f.key}": grid[f.key] for f in _GRID_FIELDS}
+    manifest = RunManifest(out_csv.with_name(out_csv.name + ".manifest.txt"),
+                           "sweep", {**config_kv(cfg), **grid_kv}, cfg.seed)
+    manifest.add_artifacts(
+        {out_csv: write_file(out_csv, sweep_csv_text(rows).encode())})
+    manifest.write()
     print(f"swept {len(rows)} cells into {out_csv}")
     return EXIT_OK
 
@@ -202,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Field, format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, ContractError, DataFormatError
-from .serialize import atomic_write, read_gten, write_gten
+from .serialize import read_gten, write_file, write_gten
 
 __all__ = ["ImageBatch", "save_dataset", "load_dataset"]
 
@@ -77,19 +77,18 @@ def _paths(stem: str | Path) -> tuple[Path, Path, Path]:
             stem.with_name(stem.name + ".meta"))
 
 
-def save_dataset(batch: ImageBatch, stem: str | Path) -> list[Path]:
-    """Write ``<stem>.gten``, ``<stem>.labels.csv`` and ``<stem>.meta``,
-    each replaced atomically, so a failed write leaves that file's old
-    bytes."""
+def save_dataset(batch: ImageBatch, stem: str | Path) -> dict[Path, str]:
+    """Write ``<stem>.gten``, ``<stem>.labels.csv`` and ``<stem>.meta``, in
+    that order, each replaced atomically, so a failed write leaves that
+    file's old bytes; return ``{path: digest}``."""
     tensor_path, labels_path, meta_path = _paths(stem)
-    write_gten(tensor_path, batch.images)
     rows = ["index,label"]
     rows.extend(f"{i},{int(label)}" for i, label in enumerate(batch.labels))
-    texts = ("\n".join(rows) + "\n", format_kv(format_fields(_META_FIELDS, batch)))
-    for path, text in zip((labels_path, meta_path), texts):
-        with atomic_write(path) as fh:
-            fh.write(text.encode("utf-8"))
-    return [tensor_path, labels_path, meta_path]
+    meta = format_kv(format_fields(_META_FIELDS, batch))
+    return {tensor_path: write_gten(tensor_path, batch.images),
+            labels_path: write_file(labels_path,
+                                    ("\n".join(rows) + "\n").encode("utf-8")),
+            meta_path: write_file(meta_path, meta.encode("utf-8"))}
 
 
 def _read_labels_csv(path: Path, expected_rows: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every CLI command writes one flat key-value manifest next to its outputs,
 listing the resolved configuration, the seed, start/end timestamps, and a
 hex-encoded 64-bit FNV-1a checksum per artifact (``seeding.fnv1a64``, a
-vectorised form of the byte-at-a-time loop with the same digests), which
-streams the file rather than reading it whole.
+vectorised form of the byte-at-a-time loop with the same digests), taken by
+``serialize.write_file`` as it wrote the artifact: no artifact is read back.
+``checksum_file`` is the reader that verifies one.
 Replaying the command with the same config and seed reproduces identical
 checksums (timestamps aside).
 """
@@ -15,7 +16,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import format_kv
-from .seeding import _FNV_CHUNK, fnv1a64_chunks
+from .seeding import _FNV_CHUNK, FNV_OFFSET, fnv1a64
+from .serialize import write_file
 
 __all__ = ["checksum_file", "RunManifest"]
 
@@ -23,29 +25,35 @@ __all__ = ["checksum_file", "RunManifest"]
 def checksum_file(path: str | Path) -> str:
     """Hex 64-bit FNV-1a over the file's bytes, zero-padded to 16 digits,
     read ``_FNV_CHUNK`` bytes at a time."""
+    h = FNV_OFFSET
     with open(path, "rb") as fh:
-        digest = fnv1a64_chunks(iter(lambda: fh.read(_FNV_CHUNK), b""))
-    return f"{digest:016x}"
+        for chunk in iter(lambda: fh.read(_FNV_CHUNK), b""):
+            h = fnv1a64(chunk, h)
+    return f"{h:016x}"
 
 
 class RunManifest:
-    """Collects command, config, outputs and checksums, then writes itself."""
+    """Collects command, config and ``{artifact: digest}``, then writes itself.
 
-    def __init__(self, command: str, config: dict[str, str], seed: int | None):
+    A manifest already at ``path`` is removed when this one is made, so a
+    command that fails after rewriting some artifacts leaves no manifest
+    whose checksums they no longer match.  Make it before the first write.
+    """
+
+    def __init__(self, path: str | Path, command: str,
+                 config: dict[str, str], seed: int | None):
+        self.path = Path(path)
         self.command = command
         self.config = dict(config)
         self.seed = seed
         self.start_time = datetime.now(timezone.utc).isoformat()
-        self.artifacts: list[Path] = []
+        self.artifacts: dict[Path, str] = {}
+        self.path.unlink(missing_ok=True)
 
-    def add_artifact(self, path: str | Path) -> None:
-        self.artifacts.append(Path(path))
+    def add_artifacts(self, digests: dict[Path, str]) -> None:
+        self.artifacts.update(digests)
 
-    def add_artifacts(self, paths) -> None:
-        for p in paths:
-            self.add_artifact(p)
-
-    def write(self, path: str | Path) -> Path:
+    def write(self) -> str:
         pairs: dict[str, str] = {"command": self.command}
         if self.seed is not None:
             pairs["seed"] = str(self.seed)
@@ -53,9 +61,7 @@ class RunManifest:
             pairs[f"config.{key}"] = value
         pairs["start_time"] = self.start_time
         pairs["end_time"] = datetime.now(timezone.utc).isoformat()
-        for artifact in self.artifacts:
+        for artifact, digest in self.artifacts.items():
             pairs[f"output.{artifact.name}"] = str(artifact)
-            pairs[f"checksum.{artifact.name}"] = checksum_file(artifact)
-        path = Path(path)
-        path.write_text(format_kv(pairs))
-        return path
+            pairs[f"checksum.{artifact.name}"] = digest
+        return write_file(self.path, format_kv(pairs).encode("utf-8"))

@@ -174,6 +174,9 @@ def apply_pipeline(spec: PreprocessSpec, batch: ImageBatch) -> ImageBatch:
     if out_of_range:
         raise ConfigError(
             f"flip_indices {sorted(out_of_range)} outside [0, {batch.n})")
+    if spec.crop_left is not None and not 0 <= spec.crop_left < spec.crop_right < batch.w:
+        raise ConfigError(f"crop columns [{spec.crop_left}, {spec.crop_right}] "
+                          f"outside [0, {batch.w})")
     out = []
     for i in range(batch.n):
         img = batch.images[i]

@@ -6,8 +6,9 @@ derived by XOR-ing the seed with a stream id and passing the result through
 a splitmix-style 64-bit mix, then feeding that into ``numpy``'s PCG64
 generator.  Stream ids for named components are FNV-1a hashes of short tag
 strings; per-image streams use the image index directly.  The same
-``fnv1a64`` checksums every CLI artifact (see ``manifest``), so it is
-vectorised with numpy, digest for digest equal to the byte-at-a-time loop.
+``fnv1a64`` checksums every CLI artifact as it is written (see
+``serialize.write_file``), so it is vectorised with numpy, digest for
+digest equal to the byte-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -19,31 +20,27 @@ _MASK64 = (1 << 64) - 1
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
-# fnv1a64 works through its input in chunks of _FNV_CHUNK bytes, which keeps
-# its temporaries near 1 MB; _FNV_POWERS[j] is FNV_PRIME ** (_FNV_CHUNK - j).
+# fnv1a64 works through its input in chunks of _FNV_CHUNK bytes, and takes
+# each chunk's dot product _FNV_DOT entries at a time, which keeps its
+# temporaries near 400 KB; _FNV_POWERS[j] is FNV_PRIME ** (_FNV_CHUNK - j).
 _FNV_CHUNK = 1 << 16
+_FNV_DOT = 1 << 13
 _FNV_POWERS = np.multiply.accumulate(
     np.full(_FNV_CHUNK, FNV_PRIME, dtype=np.uint64))[::-1].copy()
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string.
+def fnv1a64(data, h: int = FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash of a buffer's bytes, continued from the state ``h``.
 
     Exactly the byte-at-a-time recurrence ``h = ((h ^ byte) * FNV_PRIME)
-    mod 2**64`` from ``FNV_OFFSET``, evaluated with numpy one chunk at a
-    time (see ``_fnv1a64_chunk``), so every digest equals the plain loop's.
+    mod 2**64``, evaluated with numpy one chunk at a time (see
+    ``_fnv1a64_chunk``), so every digest equals the plain loop's, and
+    ``fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)``.
     """
     view = memoryview(data).cast("B")
-    return fnv1a64_chunks(view[start:start + _FNV_CHUNK]
-                          for start in range(0, len(view), _FNV_CHUNK))
-
-
-def fnv1a64_chunks(chunks) -> int:
-    """:func:`fnv1a64` of the concatenation of ``chunks``, byte strings of
-    1 to ``_FNV_CHUNK`` bytes each, holding only one of them at a time."""
-    h = FNV_OFFSET
-    for chunk in chunks:
-        h = _fnv1a64_chunk(h, np.frombuffer(chunk, dtype=np.uint8))
+    for start in range(0, len(view), _FNV_CHUNK):
+        h = _fnv1a64_chunk(h, np.frombuffer(view[start:start + _FNV_CHUNK],
+                                            dtype=np.uint8))
     return h
 
 
@@ -78,9 +75,11 @@ def _fnv1a64_chunk(h: int, b: np.ndarray) -> int:
         low |= plane
     d = (low ^ b).astype(np.int16)
     d -= low
-    tail = np.dot(_FNV_POWERS[_FNV_CHUNK - m:],
-                  d.astype(np.int64).view(np.uint64))
-    return (pow(FNV_PRIME, m, 1 << 64) * h + int(tail)) & _MASK64
+    powers = _FNV_POWERS[_FNV_CHUNK - m:]
+    tail = sum(int(np.dot(powers[s:s + _FNV_DOT],
+                          d[s:s + _FNV_DOT].astype(np.int64).view(np.uint64)))
+               for s in range(0, m, _FNV_DOT))
+    return (pow(FNV_PRIME, m, 1 << 64) * h + tail) & _MASK64
 
 
 def _prefix_xor(bits: np.ndarray, count: int) -> np.ndarray:

@@ -24,11 +24,13 @@ import numpy as np
 
 from .config import format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, DataFormatError
+from .seeding import FNV_OFFSET, fnv1a64
 
 __all__ = [
     "gten_bytes",
     "gten_from_bytes",
     "atomic_write",
+    "write_file",
     "write_gten",
     "read_gten",
     "write_checkpoint",
@@ -108,14 +110,24 @@ def atomic_write(path: str | Path):
         raise
 
 
-def write_gten(path: str | Path, array: np.ndarray) -> None:
-    """Write the bytes of :func:`gten_bytes` straight from the float32 array,
-    with no second copy, replacing ``path`` atomically; a refused value
-    leaves no file."""
-    head, arr = _gten_parts(array)
+def write_file(path: str | Path, *parts) -> str:
+    """Write the byte parts to ``path`` through :func:`atomic_write`; return the
+    16-digit hex FNV-1a digest of the parts, hashed as they are written.  Every
+    file the package writes goes through here."""
+    h = FNV_OFFSET
     with atomic_write(path) as fh:
-        fh.write(head)
-        fh.write(memoryview(arr).cast("B"))
+        for part in parts:
+            fh.write(part)
+            h = fnv1a64(part, h)
+    return f"{h:016x}"
+
+
+def write_gten(path: str | Path, array: np.ndarray) -> str:
+    """Write the bytes of :func:`gten_bytes` straight from the float32 array,
+    with no second copy, through :func:`write_file`, and return their
+    digest; a refused value leaves no file."""
+    head, arr = _gten_parts(array)
+    return write_file(path, head, memoryview(arr).cast("B"))
 
 
 def read_gten(path: str | Path) -> np.ndarray:
@@ -123,18 +135,14 @@ def read_gten(path: str | Path) -> np.ndarray:
 
 
 def write_checkpoint(path: str | Path, header: dict[str, str],
-                     tensors: list[np.ndarray]) -> None:
+                     tensors: list[np.ndarray]) -> str:
+    """Write a checkpoint through :func:`write_file` and return its digest."""
     pairs = dict(header)
     pairs["tensors"] = str(len(tensors))
     head = format_kv(pairs).encode("utf-8")
-    # encode every tensor first, so a refused one leaves no partial file
+    # encode every tensor first, so a refused one leaves no file at all
     blobs = [gten_bytes(arr) for arr in tensors]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+    return write_file(path, *(struct.pack("<I", len(b)) + b for b in [head, *blobs]))
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[np.ndarray]]:
@@ -168,10 +176,10 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[np.ndarray]]
     return header, tensors
 
 
-def save_model_checkpoint(model, path: str | Path) -> None:
+def save_model_checkpoint(model, path: str | Path) -> str:
     """Write a model whose class declares ``KIND``, ``FIELDS`` and ``params``."""
     header = {"kind": model.KIND, **format_fields(model.FIELDS, model)}
-    write_checkpoint(path, header, [p.data for p in model.params])
+    return write_checkpoint(path, header, [p.data for p in model.params])
 
 
 def load_model_checkpoint(cls, path: str | Path):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from globalattn import cli, manifest
 from globalattn.cli import main
 from globalattn.config import load_kv_file
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
@@ -238,6 +239,16 @@ def test_preprocess_failing_split_writes_nothing(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("left, right", [(0, 20), (-1, 4), (2, 8)])
+def test_preprocess_crop_past_the_image_exits_2(tmp_path, capsys, left, right):
+    data = run_gen(tmp_path)  # 8 columns wide
+    spec = write(tmp_path / "pre.cfg", f"crop_left = {left}\ncrop_right = {right}\n")
+    assert main(["preprocess", "--spec", spec, "--in", str(data),
+                 "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: crop columns") and err.count("\n") == 1
 
 
 def test_preprocess_empty_dir_exits_3(tmp_path):
@@ -497,11 +508,9 @@ def test_every_artifact_is_listed_in_exactly_one_manifest(tmp_path):
         assert listed == present
 
 
-def test_manifest_checksums_match_an_independent_fnv(tmp_path):
-    # gen -> preprocess -> train -> sweep, as perfbench's cli_cv runs them;
-    # the 48x48 train split spans several hashing chunks
-    big = SYNTH_SPEC.replace("W = 8", "W = 48").replace("H = 8", "H = 48")
-    spec = write(tmp_path / "synth.cfg", big)
+def run_chain(tmp_path, spec_text=SYNTH_SPEC):
+    """gen -> preprocess -> train -> sweep, as perfbench's cli_cv runs them."""
+    spec = write(tmp_path / "synth.cfg", spec_text)
     pre = write(tmp_path / "pre.cfg", "target_size = 16x16\n")
     cfg = write(tmp_path / "train.cfg", TRAIN_CFG)
     cv = write(tmp_path / "cv.cfg", TRAIN_CFG + "cv_folds = 2\ntop_epochs = 2\n"
@@ -515,6 +524,12 @@ def test_manifest_checksums_match_an_independent_fnv(tmp_path):
                  ["sweep", "--config", cv, "--grid", grid, "--data", data,
                   "--out", str(tmp_path / "sweep" / "sweep.csv")]):
         assert main(argv) == 0
+
+
+def test_manifest_checksums_match_an_independent_fnv(tmp_path):
+    # the 48x48 train split spans several hashing chunks
+    run_chain(tmp_path,
+              SYNTH_SPEC.replace("W = 8", "W = 48").replace("H = 8", "H = 48"))
     manifests = sorted(tmp_path.rglob("*manifest.txt"))
     assert len(manifests) == 4
     sizes = []
@@ -529,6 +544,37 @@ def test_manifest_checksums_match_an_independent_fnv(tmp_path):
                 checked += 1
         assert checked > 0, manifest
     assert max(sizes) > 3 * (1 << 16)
+
+
+def test_no_command_reads_an_artifact_back_to_checksum_it(tmp_path, monkeypatch):
+    calls = []
+    real = manifest.checksum_file
+    monkeypatch.setattr(manifest, "checksum_file",
+                        lambda path: calls.append(path) or real(path))
+    run_chain(tmp_path)
+    assert len(list(tmp_path.rglob("*manifest.txt"))) == 4
+    assert calls == []
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    data = run_gen(tmp_path)
+    out = tmp_path / "run"
+    argv = ["train", "--config", write(tmp_path / "train.cfg", TRAIN_CFG),
+            "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    first_report = (out / "report.csv").read_bytes()
+
+    def disk_full(model, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_model_checkpoint", disk_full)
+    write(tmp_path / "train.cfg", TRAIN_CFG.replace("seed = 3", "seed = 4"))
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    # the rerun rewrote report.csv and the maps before it failed, so the
+    # first run's manifest would list checksums they no longer have
+    assert (out / "report.csv").read_bytes() != first_report
+    assert not (out / "manifest.txt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +651,43 @@ EXIT_CODES = [
                          ids=[f"{c}-{k}" for c, k, _ in EXIT_CODES])
 def test_documented_exit_code(tmp_path, command, code, args):
     assert main([command, *args(tmp_path)]) == code
+
+
+def a_file(tmp_path):
+    path = tmp_path / "a_file"
+    path.write_text("not a directory\n")
+    return str(path)
+
+
+def a_directory(tmp_path):
+    path = tmp_path / "a_directory"
+    path.mkdir()
+    return str(path)
+
+
+# (command, exit code, tmp_path -> arguments with one path of the wrong kind)
+PATH_ERRORS = [
+    ("train", 3, lambda t: train_args(t)[:3] + [a_file(t), "--out", str(t / "o")]),
+    ("train", 2, lambda t: train_args(t)[:5] + [a_file(t)]),
+    ("gen", 2, lambda t: gen_args(t)[:3] + [a_file(t)]),
+    ("preprocess", 2, lambda t: preprocess_args(t)[:5] + [a_file(t)]),
+    ("preprocess", 3, lambda t: preprocess_args(t)[:3] + [a_file(t), "--out", str(t / "o")]),
+    ("sweep", 3, lambda t: sweep_args(t)[:5] + [a_file(t), "--out", str(t / "o.csv")]),
+    ("sweep", 2, lambda t: sweep_args(t)[:7] + [a_directory(t)]),
+    ("sweep", 2, lambda t: sweep_args(t)[:7] + [a_file(t) + "/out.csv"]),
+]
+
+
+@pytest.mark.parametrize("command, code, args", PATH_ERRORS,
+                         ids=["train-data-file", "train-out-file", "gen-out-file",
+                              "preprocess-out-file", "preprocess-in-file",
+                              "sweep-data-file", "sweep-out-dir",
+                              "sweep-out-under-file"])
+def test_path_of_the_wrong_kind_exits_with_one_line(tmp_path, capsys, command,
+                                                      code, args):
+    assert main([command, *args(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_readme_exit_code_paragraph_matches_table():

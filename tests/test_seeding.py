@@ -61,8 +61,9 @@ EDGES = [0, 1, 63, 64, 65] + [n * CHUNK + d for n in (1, 2, 3)
        seed=st.integers(0, 2**32 - 1),
        runs=st.lists(st.tuples(st.integers(0, 3 * CHUNK),
                                st.integers(1, CHUNK + 1),
-                               st.sampled_from([0x00, 0xFF])), max_size=3))
-def test_matches_bytewise_loop(size, fill, seed, runs):
+                               st.sampled_from([0x00, 0xFF])), max_size=3),
+       cut=st.integers(0, 3 * CHUNK + 1))
+def test_matches_bytewise_loop(size, fill, seed, runs, cut):
     rng = np.random.default_rng(seed)
     data = (rng.integers(0, 256, size, dtype=np.uint8) if fill == "random"
             else np.full(size, fill, dtype=np.uint8))
@@ -70,6 +71,8 @@ def test_matches_bytewise_loop(size, fill, seed, runs):
         data[start:start + length] = value
     data = data.tobytes()
     assert fnv1a64(data) == fnv1a64_reference(data)
+    # hashing continues from a state: the parts of a cut give the whole's hash
+    assert fnv1a64(data[cut:], fnv1a64(data[:cut])) == fnv1a64_reference(data)
 
 
 def test_checksum_file_peak_memory(tmp_path):

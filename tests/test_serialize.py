@@ -1,13 +1,16 @@
+import ast
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from globalattn import datasets, serialize
-from globalattn.attention import AttentionModel
+from globalattn import serialize
+from globalattn.attention import AttentionModel, export_attention_map
 from globalattn.classifier import ClassifierModel
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
 from globalattn.errors import ContractError, DataFormatError
+from globalattn.manifest import RunManifest, checksum_file
 from globalattn.serialize import (gten_bytes, gten_from_bytes,
                                   load_model_checkpoint, read_checkpoint,
                                   read_gten, save_model_checkpoint,
@@ -66,8 +69,7 @@ def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
                 raise OSError("disk full")
             yield fh
 
-    for module in (serialize, datasets):
-        monkeypatch.setattr(module, "atomic_write", failing_second_write)
+    monkeypatch.setattr(serialize, "atomic_write", failing_second_write)
     with pytest.raises(OSError, match="disk full"):
         save_dataset(ImageBatch(np.ones((3, 1, 2, 2)), [1, 0, 1], 2), stem)
     assert [p.name for p in writes] == ["d.gten", "d.labels.csv"]
@@ -75,6 +77,95 @@ def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
     assert (tmp_path / "d.labels.csv").read_bytes() == old["d.labels.csv"]
     assert (tmp_path / "d.meta").read_bytes() == old["d.meta"]
     assert read_gten(tmp_path / "d.gten").shape == (3, 1, 2, 2)
+
+
+def _manifest_writer(directory):
+    manifest = RunManifest(directory / "manifest.txt", "demo", {}, None)
+
+    def write(version):
+        manifest.add_artifacts({directory / f"a{version}": f"{version:016x}"})
+        return manifest.write()
+    return write
+
+
+# name -> (directory -> (version -> what the writer returns)); each version
+# writes different bytes to the same paths
+WRITERS = {
+    "write_gten": lambda d: lambda v: write_gten(d / "t.gten", np.full((2, 3), v)),
+    "write_checkpoint": lambda d: lambda v: write_checkpoint(
+        d / "m.ckpt", {"v": str(v)}, [np.full(3, v)]),
+    "save_dataset": lambda d: lambda v: save_dataset(
+        ImageBatch(np.full((2, 1, 2, 2), v), [0, 1], 2), d / "d"),
+    "export_attention_map": lambda d: lambda v: export_attention_map(
+        np.arange(4.0).reshape(2, 2) ** v, d / "m"),
+    "manifest": _manifest_writer,
+}
+
+
+def _failing_midway(real):
+    """``atomic_write`` whose handle writes half of the first part, then
+    raises."""
+    class Handle:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, part):
+            data = memoryview(part).cast("B")
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    @contextmanager
+    def failing(path):
+        with real(path) as fh:
+            yield Handle(fh)
+    return failing
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_failing_midway_keeps_the_old_bytes(tmp_path, monkeypatch, name):
+    write = WRITERS[name](tmp_path)
+    write(1)
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(serialize, "atomic_write",
+                        _failing_midway(serialize.atomic_write))
+    with pytest.raises(OSError, match="disk full"):
+        write(2)
+    # the old bytes, and no temporary sibling
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+    monkeypatch.undo()
+    write(2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != old
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_returns_the_digest_of_the_bytes_on_disk(tmp_path, name):
+    digests = WRITERS[name](tmp_path)(1)
+    if isinstance(digests, str):
+        (path,) = tmp_path.iterdir()
+        digests = {path: digests}
+    assert sorted(digests) == sorted(tmp_path.iterdir())
+    for path, digest in digests.items():
+        assert digest == checksum_file(path), path.name
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call is ``write_text``, ``write_bytes``, or an ``open`` with
+    a mode that writes (``w``, ``a``, ``x`` or ``+``)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name in ("write_text", "write_bytes"):
+        return True
+    modes = [a.value for a in (*call.args, *(k.value for k in call.keywords))
+             if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return name == "open" and any(set(m) & set("wax+") for m in modes)
+
+
+def test_only_serialize_writes_files():
+    package = Path(serialize.__file__).parent
+    writers = {path.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and _writes_a_file(node)}
+    assert writers == {"serialize.py"}
 
 
 def test_checkpoint_refusing_a_tensor_writes_no_file(tmp_path):
@@ -234,7 +325,7 @@ def test_dataset_bad_meta_is_format_error(tmp_path, meta):
 def test_dataset_row_count_mismatch(tmp_path):
     batch = ImageBatch(np.zeros((3, 1, 2, 2)), [0, 1, 0], num_classes=2)
     paths = save_dataset(batch, tmp_path / "d")
-    labels_path = paths[1]
+    labels_path = list(paths)[1]
     lines = labels_path.read_text().splitlines()
     labels_path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(DataFormatError, match="rows"):
