@@ -9,7 +9,7 @@ Run: python3 demos/preprocessing_pipeline.py
 
 import numpy as np
 
-from globalattn import ImageBatch, PreprocessSpec, apply_pipeline
+from globalattn import PreprocessSpec, apply_pipeline
 from globalattn.preprocess import (crop_columns, hflip, load_flip_indices,
                                    normalize_standardize, packaged_flip_list,
                                    resize_area)
@@ -43,8 +43,7 @@ print(f"standardized channel means: {final.mean(axis=(1, 2)).round(3)}")
 train_flips = load_flip_indices(packaged_flip_list("idrid_train"))
 print(f"packaged right-eye flip list: {len(train_flips)} training images")
 
-batch = ImageBatch(image[None], [0], num_classes=1)
 spec = PreprocessSpec(crop_left=260, crop_right=3685, target_size=(224, 224),
                       flip_indices=frozenset({0}), channel_stats=stats)
-out = apply_pipeline(spec, batch)
-print("batch pipeline output:", out.images.shape)
+out = apply_pipeline(spec, [image])  # any iterable of (C, W, H) images
+print("batch pipeline output:", len(out), "x", out[0].shape)

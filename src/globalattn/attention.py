@@ -192,5 +192,5 @@ def export_attention_map(weight_map: Tensor | np.ndarray,
         norm = np.zeros_like(data)
     pixels = np.rint(norm * 255.0).astype(np.uint8)
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    return {csv_path: write_file(csv_path, csv),
-            pgm_path: write_file(pgm_path, header, pixels.T.tobytes())}
+    return {csv_path: write_file(csv_path, [csv]),
+            pgm_path: write_file(pgm_path, [header, pixels.T.tobytes()])}

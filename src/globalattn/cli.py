@@ -16,12 +16,13 @@ from pathlib import Path
 
 from . import pipelinecheck
 from .attention import export_attention_map
-from .datasets import ImageBatch, load_dataset, save_dataset
+from .datasets import ImageBatch, load_dataset, open_dataset, save_dataset
 from .errors import ConfigError, ContractError, DataFormatError, DivergenceError
 from .manifest import RunManifest
 from .preprocess import apply_pipeline, load_preprocess_spec
 from .serialize import save_model_checkpoint, write_file, write_gten
-from .synthetic import generate_synthetic, load_synthetic_spec, split_indices
+from .synthetic import (class_labels, generate_synthetic, load_synthetic_spec,
+                        relevance_mask, split_indices)
 from .training import (_check_compatible, config_kv, load_train_config, sweep,
                        sweep_csv_text, train)
 from .config import (Field, field_keys, load_kv_file, parse_fields,
@@ -44,19 +45,30 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
+# gen draws its images about this many bytes (at least one image) at a time
+_DRAW_BYTES = 1 << 18
+
+
+def _draws(spec, indices):
+    """Images ``indices`` of the synthetic set, each chunk drawn, written
+    and dropped before the next is drawn."""
+    step = max(1, _DRAW_BYTES // (8 * spec.c * spec.w * spec.h))
+    for start in range(0, indices.size, step):
+        yield from generate_synthetic(spec, indices[start:start + step])[0].images
+
+
 def _cmd_gen(args) -> int:
     spec = load_synthetic_spec(args.spec)
     splits = split_indices(spec.n, 0.8, spec.seed)
     out = _out_dir(Path(args.out))
     manifest = RunManifest(out / "manifest.txt", "gen",
                            load_kv_file(args.spec), spec.seed)
-    # each split is drawn, written and dropped before the next is drawn
     for stem, indices in zip(("train", "test"), splits):
-        batch, mask = generate_synthetic(spec, indices)
-        manifest.add_artifacts(save_dataset(batch, out / stem))
-        del batch
+        manifest.add_artifacts(save_dataset(
+            out / stem, _draws(spec, indices), class_labels(spec, indices),
+            spec.num_classes))
     mask_path = out / "mask.gten"
-    manifest.add_artifacts({mask_path: write_gten(mask_path, mask)})
+    manifest.add_artifacts({mask_path: write_gten(mask_path, relevance_mask(spec))})
     manifest.write()
     print(f"wrote {splits[0].size} train / {splits[1].size} test images to {out}")
     return EXIT_OK
@@ -69,14 +81,18 @@ def _cmd_preprocess(args) -> int:
              if (in_dir / f"{s}.gten").exists()]
     if not stems:
         raise DataFormatError(f"no train.gten or test.gten under {in_dir}")
-    # every split is processed before any is written, so a failure leaves
-    # no partial output behind
-    processed = [apply_pipeline(spec, load_dataset(in_dir / stem))
-                 for stem in stems]
+    # each split's images are processed as they are read, and every split
+    # is processed before any is written, so a failure leaves no partial
+    # output behind
+    processed = []
+    for stem in stems:
+        _, images, labels, num_classes = open_dataset(in_dir / stem)
+        processed.append((apply_pipeline(spec, images), labels, num_classes))
     manifest = RunManifest(out / "manifest.txt", "preprocess",
                            load_kv_file(args.spec), None)
-    for stem, batch in zip(stems, processed):
-        manifest.add_artifacts(save_dataset(batch, out / stem))
+    for stem, (images, labels, num_classes) in zip(stems, processed):
+        manifest.add_artifacts(
+            save_dataset(out / stem, images, labels, num_classes))
     manifest.write()
     print(f"preprocessed {', '.join(stems)} into {out}")
     return EXIT_OK
@@ -102,7 +118,7 @@ def _cmd_train(args) -> int:
                            cfg.seed)
     report_path = out / "report.csv"
     manifest.add_artifacts(
-        {report_path: write_file(report_path, report.csv_text().encode())})
+        {report_path: write_file(report_path, [report.csv_text().encode()])})
     for epoch, snap in sorted(report.snapshots.items()):
         manifest.add_artifacts(
             export_attention_map(snap, out / f"attention_epoch{epoch}"))
@@ -148,7 +164,7 @@ def _cmd_sweep(args) -> int:
     manifest = RunManifest(out_csv.with_name(out_csv.name + ".manifest.txt"),
                            "sweep", {**config_kv(cfg), **grid_kv}, cfg.seed)
     manifest.add_artifacts(
-        {out_csv: write_file(out_csv, sweep_csv_text(rows).encode())})
+        {out_csv: write_file(out_csv, [sweep_csv_text(rows).encode()])})
     manifest.write()
     print(f"swept {len(rows)} cells into {out_csv}")
     return EXIT_OK

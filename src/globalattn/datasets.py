@@ -8,16 +8,18 @@ text carrying ``num_classes``).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import Field, format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, ContractError, DataFormatError
-from .serialize import read_gten, write_file, write_gten
+from .serialize import gten_slices, write_file, write_gten
 
-__all__ = ["ImageBatch", "save_dataset", "load_dataset"]
+__all__ = ["ImageBatch", "save_dataset", "open_dataset", "load_dataset"]
 
 
 @dataclass
@@ -30,20 +32,14 @@ class ImageBatch:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
             raise ContractError(
                 f"images must be rank 4 (N, C, W, H), got rank {self.images.ndim}")
         if self.images.shape[0] < 1:
             raise ContractError("batch must contain at least one image")
-        if self.labels.shape != (self.images.shape[0],):
-            raise ContractError(
-                f"{self.images.shape[0]} images but {self.labels.size} labels")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise ContractError(
-                f"labels must lie in [0, {self.num_classes})")
-        if not np.isfinite(self.images).all():
+        self.labels = _checked_labels(self.labels, self.images.shape[0],
+                                      self.num_classes)
+        if not _all_finite(self.images):
             raise ContractError("images contain non-finite values")
 
     @property
@@ -67,6 +63,22 @@ class ImageBatch:
                           self.num_classes)
 
 
+def _checked_labels(labels, n: int, num_classes: int) -> np.ndarray:
+    """``labels`` as int64, once they are ``n`` classes in [0, num_classes)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ContractError(f"{n} images but {labels.size} labels")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ContractError(f"labels must lie in [0, {num_classes})")
+    return labels
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    # min and max propagate NaN and reach any infinity, with no mask
+    # the size of the values
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 _META_FIELDS = (Field("num_classes", "num_classes", int),)
 
 
@@ -77,18 +89,41 @@ def _paths(stem: str | Path) -> tuple[Path, Path, Path]:
             stem.with_name(stem.name + ".meta"))
 
 
-def save_dataset(batch: ImageBatch, stem: str | Path) -> dict[Path, str]:
+def save_dataset(stem: str | Path, images: Iterable[np.ndarray], labels,
+                 num_classes: int) -> dict[Path, str]:
     """Write ``<stem>.gten``, ``<stem>.labels.csv`` and ``<stem>.meta``, in
     that order, each replaced atomically, so a failed write leaves that
-    file's old bytes; return ``{path: digest}``."""
+    file's old bytes; return ``{path: digest}``.
+
+    ``images`` is any iterable of one (C, W, H) image per label (an
+    (N, C, W, H) array is one); each image is checked, cast and written
+    before the next one is made.
+    """
+    labels = np.asarray(labels)
+    if labels.size < 1:
+        raise ContractError("batch must contain at least one image")
+    labels = _checked_labels(labels, labels.size, num_classes)
     tensor_path, labels_path, meta_path = _paths(stem)
     rows = ["index,label"]
-    rows.extend(f"{i},{int(label)}" for i, label in enumerate(batch.labels))
-    meta = format_kv(format_fields(_META_FIELDS, batch))
-    return {tensor_path: write_gten(tensor_path, batch.images),
+    rows.extend(f"{i},{label}" for i, label in enumerate(labels.tolist()))
+    meta = format_kv(format_fields(_META_FIELDS,
+                                   SimpleNamespace(num_classes=num_classes)))
+    return {tensor_path: write_gten(tensor_path, _checked_images(images),
+                                    labels.size),
             labels_path: write_file(labels_path,
-                                    ("\n".join(rows) + "\n").encode("utf-8")),
-            meta_path: write_file(meta_path, meta.encode("utf-8"))}
+                                    [("\n".join(rows) + "\n").encode("utf-8")]),
+            meta_path: write_file(meta_path, [meta.encode("utf-8")])}
+
+
+def _checked_images(images: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    for image in images:
+        image = np.asarray(image)
+        if image.ndim != 3:
+            raise ContractError(
+                f"an image must be rank 3 (C, W, H), got rank {image.ndim}")
+        if not _all_finite(image):
+            raise ContractError("images contain non-finite values")
+        yield image
 
 
 def _read_labels_csv(path: Path, expected_rows: int) -> np.ndarray:
@@ -121,15 +156,22 @@ def _read_labels_csv(path: Path, expected_rows: int) -> np.ndarray:
     return labels
 
 
-def load_dataset(stem: str | Path) -> ImageBatch:
-    """Load a dataset written by :func:`save_dataset`; contents that
-    :class:`ImageBatch` rejects raise :class:`DataFormatError`."""
+def open_dataset(stem: str | Path
+                 ) -> tuple[tuple[int, ...], Iterator[np.ndarray], np.ndarray, int]:
+    """Check a dataset written by :func:`save_dataset` and return its
+    (N, C, W, H) shape, a one-pass iterator over its images read one at a
+    time, its labels and its class count.
+
+    Every check but those of the image values runs before this returns; a
+    NaN, an infinity or a truncation among the values raises
+    :class:`DataFormatError` when its image is reached.
+    """
     tensor_path, labels_path, meta_path = _paths(stem)
-    images = read_gten(tensor_path)
-    if images.ndim != 4:
+    shape, images = gten_slices(tensor_path)
+    if len(shape) != 4:
         raise DataFormatError(
-            f"dataset tensor rank field is {images.ndim}, expected 4")
-    labels = _read_labels_csv(labels_path, images.shape[0])
+            f"dataset tensor rank field is {len(shape)}, expected 4")
+    labels = _read_labels_csv(labels_path, shape[0])
     if not meta_path.exists():
         raise DataFormatError(f"missing meta file {meta_path}")
     try:
@@ -138,6 +180,16 @@ def load_dataset(stem: str | Path) -> ImageBatch:
     except (ConfigError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"meta file {meta_path}: {exc}") from exc
     try:
-        return ImageBatch(images, labels, num_classes)
+        labels = _checked_labels(labels, shape[0], num_classes)
     except ContractError as exc:
         raise DataFormatError(f"dataset {tensor_path}: {exc}") from exc
+    return shape, images, labels, num_classes
+
+
+def load_dataset(stem: str | Path) -> ImageBatch:
+    """Load a dataset written by :func:`save_dataset`, filling its array one
+    image at a time; a dataset that :func:`open_dataset` or
+    :class:`ImageBatch` rejects raises :class:`DataFormatError`."""
+    shape, images, labels, num_classes = open_dataset(stem)
+    array = np.fromiter(images, np.dtype((np.float64, shape[1:])), shape[0])
+    return ImageBatch(array, labels, num_classes)

@@ -64,4 +64,4 @@ class RunManifest:
         for artifact, digest in self.artifacts.items():
             pairs[f"output.{artifact.name}"] = str(artifact)
             pairs[f"checksum.{artifact.name}"] = digest
-        return write_file(self.path, format_kv(pairs).encode("utf-8"))
+        return write_file(self.path, [format_kv(pairs).encode("utf-8")])

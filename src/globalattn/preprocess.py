@@ -12,6 +12,7 @@ Images are (C, W, H) float64 arrays; the width axis is axis 1.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from .config import (Field, field_keys, load_kv_file, parse_fields,
                      parse_float, parse_kv_text, parse_size)
-from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
 
 __all__ = [
@@ -168,19 +168,20 @@ class PreprocessSpec:
             raise ConfigError("flip_indices must be non-negative")
 
 
-def apply_pipeline(spec: PreprocessSpec, batch: ImageBatch) -> ImageBatch:
-    """Run the pipeline over every image of a batch."""
-    out_of_range = [i for i in spec.flip_indices if i >= batch.n]
-    if out_of_range:
-        raise ConfigError(
-            f"flip_indices {sorted(out_of_range)} outside [0, {batch.n})")
-    if spec.crop_left is not None and not 0 <= spec.crop_left < spec.crop_right < batch.w:
-        raise ConfigError(f"crop columns [{spec.crop_left}, {spec.crop_right}] "
-                          f"outside [0, {batch.w})")
+def apply_pipeline(spec: PreprocessSpec,
+                   images: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """Run the pipeline on each (C, W, H) image of ``images`` as it is
+    reached (an (N, C, W, H) array is one iterable of images), and return
+    the outputs in order.  Image i is flipped when i is in
+    ``spec.flip_indices``; an index past the last image raises
+    :class:`ConfigError` once the images are exhausted."""
     out = []
-    for i in range(batch.n):
-        img = batch.images[i]
+    for i, img in enumerate(images):
         if spec.crop_left is not None:
+            w = img.shape[1]
+            if not 0 <= spec.crop_left < spec.crop_right < w:
+                raise ConfigError(f"crop columns [{spec.crop_left}, "
+                                  f"{spec.crop_right}] outside [0, {w})")
             img = crop_columns(img, spec.crop_left, spec.crop_right)
         if spec.target_size is not None:
             img = resize_area(img, spec.target_size)
@@ -189,7 +190,11 @@ def apply_pipeline(spec: PreprocessSpec, batch: ImageBatch) -> ImageBatch:
         if spec.channel_stats is not None:
             img = normalize_standardize(img, spec.channel_stats)
         out.append(img)
-    return ImageBatch(np.stack(out), batch.labels, batch.num_classes)
+    out_of_range = [i for i in spec.flip_indices if i >= len(out)]
+    if out_of_range:
+        raise ConfigError(
+            f"flip_indices {sorted(out_of_range)} outside [0, {len(out)})")
+    return out
 
 
 def packaged_flip_list(name: str) -> Path:

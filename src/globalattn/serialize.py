@@ -10,21 +10,28 @@ tensor, in parameter order.  The header's ``tensors`` key gives the count.
 A model checkpoint's header also holds ``kind`` and the fields of its
 class's ``FIELDS`` table, enough to rebuild the model before its tensors
 are loaded.
+
+Tensors move through memory one leading-axis slice at a time: the writer
+casts, writes and hashes each slice before it takes the next, and the reader
+checks a header's value count against the bytes the tensor spans before it
+allocates anything, then converts one slice at a time.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .config import format_fields, format_kv, parse_fields, parse_kv_text
-from .errors import ConfigError, DataFormatError
-from .seeding import FNV_OFFSET, fnv1a64
+from .errors import ConfigError, ContractError, DataFormatError
+from .seeding import _FNV_CHUNK, FNV_OFFSET, fnv1a64
 
 __all__ = [
     "gten_bytes",
@@ -33,6 +40,7 @@ __all__ = [
     "write_file",
     "write_gten",
     "read_gten",
+    "gten_slices",
     "write_checkpoint",
     "read_checkpoint",
     "save_model_checkpoint",
@@ -42,56 +50,130 @@ __all__ = [
 MAGIC = b"GTEN"
 
 
-def _gten_parts(array: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The header of one tensor blob and its values as C-ordered
-    little-endian float32.  A finite value beyond the float32 range raises
-    :class:`DataFormatError`: it would cast to inf, and the blob would not
-    load."""
+def _gten_head(shape: tuple[int, ...]) -> bytes:
+    return MAGIC + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+
+
+def _f4(values) -> memoryview:
+    """The bytes of ``values`` as C-ordered little-endian float32.  A finite
+    value beyond the float32 range raises :class:`DataFormatError`: it would
+    cast to inf, and the tensor would not load."""
     try:
         # turns the cast's overflow warning into an error
         with np.errstate(over="raise"):
             # note: ascontiguousarray would promote rank-0 arrays to rank 1
-            arr = np.asarray(array, dtype="<f4", order="C")
+            arr = np.asarray(values, dtype="<f4", order="C")
     except FloatingPointError as exc:
         raise DataFormatError(
             "tensor holds a value beyond the float32 range") from exc
-    return MAGIC + struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape), arr
+    return memoryview(arr).cast("B")
+
+
+def _gten_parts(slices, n: int | None = None) -> Iterator:
+    """Yield one tensor blob part by part: its header, then its float32
+    values one leading-axis slice at a time, each cast when it is reached.
+
+    ``slices`` is an array (a tensor below rank 2 is one part), or, with
+    ``n``, any iterable of ``n`` equally shaped slices.  A slice of another
+    shape, or another count of slices, raises :class:`ContractError`.
+    """
+    if n is None:
+        slices = np.asarray(slices)
+        if slices.ndim < 2:
+            yield _gten_head(slices.shape)
+            yield _f4(slices)
+            return
+        n = len(slices)
+    count = 0
+    for count, piece in enumerate(map(np.asarray, slices), 1):
+        if count == 1:
+            shape = piece.shape
+            yield _gten_head((n, *shape))
+        elif piece.shape != shape:
+            raise ContractError(
+                f"slice {count - 1} has shape {piece.shape}, expected {shape}")
+        yield _f4(piece)
+    if count != n or n < 1:
+        raise ContractError(f"{count} slices, expected {n} >= 1")
 
 
 def gten_bytes(array: np.ndarray) -> bytes:
     """Encode one tensor as float32; see :func:`_gten_parts`."""
-    head, arr = _gten_parts(array)
-    return head + arr.tobytes()
+    return b"".join(_gten_parts(array))
+
+
+def _slicing(dims: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """How many slices the reader yields for ``dims``, and their shape: one
+    per index of the leading axis, or the whole tensor below rank 2."""
+    return (dims[0], dims[1:]) if len(dims) > 1 else (1, dims)
+
+
+def _read_head(fh, nbytes: int) -> tuple[int, ...]:
+    """Read one tensor blob's header from ``fh`` and return its dims.
+
+    ``nbytes`` is the size of the whole blob.  The dims must claim exactly
+    the values that fill it, or :class:`DataFormatError` is raised before
+    anything the size of the values is allocated.
+    """
+    fixed = fh.read(8) if nbytes >= 8 else b""
+    if len(fixed) < 8:
+        raise DataFormatError("tensor file truncated before rank field")
+    if fixed[:4] != MAGIC:
+        raise DataFormatError(
+            f"bad magic bytes {fixed[:4]!r}, expected {MAGIC!r}")
+    (rank,) = struct.unpack_from("<I", fixed, 4)
+    head = 8 + 4 * rank
+    raw = fh.read(4 * rank) if nbytes >= head else b""
+    if len(raw) < 4 * rank:
+        raise DataFormatError("tensor file truncated inside dims field")
+    dims = struct.unpack(f"<{rank}I", raw)
+    if 0 in dims:
+        raise DataFormatError("zero dimension in dims field")
+    count = math.prod(dims)
+    if nbytes != head + 4 * count:
+        raise DataFormatError(
+            f"values field has {nbytes - head} bytes, expected {4 * count}")
+    return dims
+
+
+def _read_slices(fh, dims: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Yield the values after a header that :func:`_read_head` checked, as
+    float64 arrays, one slice (see :func:`_slicing`) at a time.  Neither a
+    slice's float32 bytes nor the slice itself is held once yielded."""
+    count, shape = _slicing(dims)
+    size = 4 * math.prod(shape)
+    for _ in range(count):
+        yield _decode(fh.read(size), size, shape)
+
+
+def _decode(raw: bytes, size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``size`` bytes of float32 values as a float64 array of ``shape``; a
+    shortfall, a NaN or an infinity raises :class:`DataFormatError`."""
+    if len(raw) != size:
+        raise DataFormatError("tensor file truncated inside values field")
+    values = np.frombuffer(raw, dtype="<f4")
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is, and it needs no mask of the values
+    if not np.isfinite(values.sum(dtype=np.float64)):
+        raise DataFormatError("values field holds a NaN or infinite value")
+    return values.astype(np.float64).reshape(shape)
+
+
+def _fill(dims: tuple[int, ...], slices: Iterator[np.ndarray]) -> np.ndarray:
+    """One float64 array of shape ``dims`` filled from the reader."""
+    count, shape = _slicing(dims)
+    return np.fromiter(slices, np.dtype((np.float64, shape)), count).reshape(dims)
+
+
+def _read_tensor(fh, nbytes: int) -> np.ndarray:
+    dims = _read_head(fh, nbytes)
+    return _fill(dims, _read_slices(fh, dims))
 
 
 def gten_from_bytes(blob: bytes) -> np.ndarray:
     """Decode one tensor blob; values come back as float64.  A malformed
     blob, or one holding NaN or inf, raises :class:`DataFormatError`."""
-    if len(blob) < 8:
-        raise DataFormatError("tensor file truncated before rank field")
-    if blob[:4] != MAGIC:
-        raise DataFormatError(
-            f"bad magic bytes {blob[:4]!r}, expected {MAGIC!r}")
-    (rank,) = struct.unpack_from("<I", blob, 4)
-    head = 8 + 4 * rank
-    if len(blob) < head:
-        raise DataFormatError("tensor file truncated inside dims field")
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
-    count = 1
-    for d in dims:
-        if d == 0:
-            raise DataFormatError("zero dimension in dims field")
-        count *= d
-    expected = head + 4 * count
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"values field has {len(blob) - head} bytes, expected {4 * count}")
-    values = np.frombuffer(blob, dtype="<f4", offset=head, count=count)
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value is, and it needs no mask the size of the blob
-    if not np.isfinite(values.sum(dtype=np.float64)):
-        raise DataFormatError("values field holds a NaN or infinite value")
-    return values.astype(np.float64).reshape(dims)
+    return _read_tensor(io.BytesIO(blob), len(blob))
 
 
 @contextmanager
@@ -110,69 +192,109 @@ def atomic_write(path: str | Path):
         raise
 
 
-def write_file(path: str | Path, *parts) -> str:
-    """Write the byte parts to ``path`` through :func:`atomic_write`; return the
-    16-digit hex FNV-1a digest of the parts, hashed as they are written.  Every
-    file the package writes goes through here."""
-    h = FNV_OFFSET
+def write_file(path: str | Path, parts: Iterable) -> str:
+    """Write the byte parts to ``path`` through :func:`atomic_write`; return
+    the 16-digit hex FNV-1a digest of the bytes written.
+
+    ``parts`` is consumed lazily: each part is written and hashed before the
+    next one is made, so a generator of parts is never held whole.  The bytes
+    are hashed in whole ``_FNV_CHUNK`` blocks, whatever the sizes of the
+    parts, which costs what hashing the whole file at once would.  Every
+    file the package writes goes through here.
+    """
+    h, carry = FNV_OFFSET, bytearray()
     with atomic_write(path) as fh:
         for part in parts:
             fh.write(part)
-            h = fnv1a64(part, h)
-    return f"{h:016x}"
+            view = memoryview(part).cast("B")
+            head = _FNV_CHUNK - len(carry)  # the bytes that fill one block
+            carry += view[:head]
+            if len(carry) == _FNV_CHUNK:
+                rest = view[head:]
+                whole = len(rest) - len(rest) % _FNV_CHUNK
+                h = fnv1a64(rest[:whole], fnv1a64(carry, h))
+                carry = bytearray(rest[whole:])
+    return f"{fnv1a64(carry, h):016x}"
 
 
-def write_gten(path: str | Path, array: np.ndarray) -> str:
-    """Write the bytes of :func:`gten_bytes` straight from the float32 array,
-    with no second copy, through :func:`write_file`, and return their
-    digest; a refused value leaves no file."""
-    head, arr = _gten_parts(array)
-    return write_file(path, head, memoryview(arr).cast("B"))
+def write_gten(path: str | Path, slices, n: int | None = None) -> str:
+    """Write a tensor through :func:`write_file` one slice at a time (see
+    :func:`_gten_parts` for ``slices`` and ``n``) and return its digest;
+    a refused value leaves the old file."""
+    return write_file(path, _gten_parts(slices, n))
+
+
+def gten_slices(path: str | Path) -> tuple[tuple[int, ...], Iterator[np.ndarray]]:
+    """The dims of the ``.gten`` file ``path`` and a one-pass iterator over
+    its slices (see :func:`_slicing`) as float64 arrays, read one at a time.
+
+    The header is checked against the file's size before this returns, so a
+    malformed or truncated header raises here; a NaN, an infinity or a
+    truncation among the values raises when its slice is reached.
+    """
+    slices = _gten_file(path)
+    return next(slices), slices
+
+
+def _gten_file(path: str | Path) -> Iterator:
+    with open(path, "rb") as fh:
+        dims = _read_head(fh, os.fstat(fh.fileno()).st_size)
+        yield dims
+        yield from _read_slices(fh, dims)
 
 
 def read_gten(path: str | Path) -> np.ndarray:
-    return gten_from_bytes(Path(path).read_bytes())
+    return _fill(*gten_slices(path))
 
 
 def write_checkpoint(path: str | Path, header: dict[str, str],
                      tensors: list[np.ndarray]) -> str:
-    """Write a checkpoint through :func:`write_file` and return its digest."""
+    """Write a checkpoint through :func:`write_file`, one tensor slice at a
+    time, and return its digest; a refused tensor leaves the old file."""
     pairs = dict(header)
     pairs["tensors"] = str(len(tensors))
     head = format_kv(pairs).encode("utf-8")
-    # encode every tensor first, so a refused one leaves no file at all
-    blobs = [gten_bytes(arr) for arr in tensors]
-    return write_file(path, *(struct.pack("<I", len(b)) + b for b in [head, *blobs]))
+
+    def parts():
+        yield struct.pack("<I", len(head))
+        yield head
+        for arr in map(np.asarray, tensors):
+            yield struct.pack("<I", 8 + 4 * arr.ndim + 4 * arr.size)
+            yield from _gten_parts(arr)
+    return write_file(path, parts())
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict[str, str], list[np.ndarray]]:
-    raw = Path(path).read_bytes()
-    buf = io.BytesIO(raw)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n: int, what: str) -> bytes:
-        chunk = buf.read(n)
-        if len(chunk) != n:
-            raise DataFormatError(f"checkpoint truncated inside {what}")
-        return chunk
+        def span(n: int, what: str) -> int:
+            """``n``, once the file is known to hold that many more bytes."""
+            if n > size - fh.tell():
+                raise DataFormatError(f"checkpoint truncated inside {what}")
+            return n
 
-    (head_len,) = struct.unpack("<I", take(4, "header length"))
-    head = take(head_len, "header")
-    try:
-        header = parse_kv_text(head.decode("utf-8"))
-    except (ConfigError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"malformed checkpoint header: {exc}") from exc
-    if "tensors" not in header:
-        raise DataFormatError("checkpoint header missing tensors field")
-    try:
-        count = int(header["tensors"])
-    except ValueError as exc:
-        raise DataFormatError("checkpoint tensors field is not an integer") from exc
-    tensors = []
-    for _ in range(count):
-        (blob_len,) = struct.unpack("<I", take(4, "tensor length prefix"))
-        tensors.append(gten_from_bytes(take(blob_len, "tensor blob")))
-    if buf.read(1):
-        raise DataFormatError("trailing bytes after last tensor blob")
+        def take(n: int, what: str) -> bytes:
+            return fh.read(span(n, what))
+
+        (head_len,) = struct.unpack("<I", take(4, "header length"))
+        head = take(head_len, "header")
+        try:
+            header = parse_kv_text(head.decode("utf-8"))
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"malformed checkpoint header: {exc}") from exc
+        if "tensors" not in header:
+            raise DataFormatError("checkpoint header missing tensors field")
+        try:
+            count = int(header["tensors"])
+        except ValueError as exc:
+            raise DataFormatError("checkpoint tensors field is not an integer") from exc
+        tensors = []
+        for _ in range(count):
+            (blob_len,) = struct.unpack("<I", take(4, "tensor length prefix"))
+            tensors.append(_read_tensor(fh, span(blob_len, "tensor blob")))
+        if fh.read(1):
+            raise DataFormatError("trailing bytes after last tensor blob")
     return header, tensors
 
 

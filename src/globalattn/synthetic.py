@@ -24,6 +24,8 @@ from .seeding import SPLIT, TEMPLATES, mix_seed, rng_for
 __all__ = [
     "SyntheticSpec",
     "generate_synthetic",
+    "class_labels",
+    "relevance_mask",
     "split_indices",
     "split_train_test",
     "load_synthetic_spec",
@@ -105,7 +107,8 @@ def generate_synthetic(spec: SyntheticSpec, indices: np.ndarray | None = None
                        ) -> tuple[ImageBatch, np.ndarray]:
     """Build the dataset and its binary (W, H) relevance mask.
 
-    Labels cycle through the classes so every class appears equally often.
+    Labels cycle through the classes (:func:`class_labels`) so every class
+    appears equally often.
     Image i draws its noise from the stream ``mix_seed(seed, i)``, which
     makes generation reproducible per image.  ``indices`` draws only those
     images, in that order, bit for bit equal to
@@ -117,15 +120,26 @@ def generate_synthetic(spec: SyntheticSpec, indices: np.ndarray | None = None
         raise ContractError(f"indices must be a 1-D integer array in [0, {spec.n})")
     templates = _orthogonal_templates(spec)
     sx, sy = spec.region_slices
-    labels = indices % spec.num_classes
+    labels = class_labels(spec, indices)
     images = np.empty((indices.size, spec.c, spec.w, spec.h))
     for row, i in enumerate(indices.tolist()):
         rng = np.random.default_rng(mix_seed(spec.seed, i))
         images[row] = rng.standard_normal((spec.c, spec.w, spec.h)) * spec.noise_std
         images[row][:, sx, sy] += spec.signal_strength * templates[labels[row]]
+    return ImageBatch(images, labels, spec.num_classes), relevance_mask(spec)
+
+
+def class_labels(spec: SyntheticSpec, indices: np.ndarray) -> np.ndarray:
+    """The labels of images ``indices``: they cycle through the classes."""
+    return np.asarray(indices) % spec.num_classes
+
+
+def relevance_mask(spec: SyntheticSpec) -> np.ndarray:
+    """The binary (W, H) mask of the relevant rectangle."""
+    sx, sy = spec.region_slices
     mask = np.zeros((spec.w, spec.h))
     mask[sx, sy] = 1.0
-    return ImageBatch(images, labels, spec.num_classes), mask
+    return mask
 
 
 def split_indices(n: int, train_fraction: float,

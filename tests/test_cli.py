@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from globalattn import cli, manifest
 from globalattn.cli import main
 from globalattn.config import load_kv_file
-from globalattn.datasets import ImageBatch, load_dataset, save_dataset
+from globalattn.datasets import load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
 from globalattn.synthetic import (generate_synthetic, parse_synthetic_spec,
                                   split_train_test)
@@ -105,7 +106,7 @@ def test_gen_writes_the_bytes_of_the_split_whole_set(tmp_path, edit):
     ref = tmp_path / "ref"
     ref.mkdir()
     for stem, part in zip(("train", "test"), split_train_test(batch, 0.8, spec.seed)):
-        save_dataset(part, ref / stem)
+        save_dataset(ref / stem, part.images, part.labels, part.num_classes)
     write_gten(ref / "mask.gten", mask)
     written = sorted(p.name for p in out.iterdir() if p.name != "manifest.txt")
     assert written == sorted(p.name for p in ref.iterdir())
@@ -121,21 +122,122 @@ def test_gen_of_a_single_image_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_gen_holds_one_split_at_a_time(tmp_path):
-    # one split's float64 values and their float32 copy are at most 1.2x the
-    # set's bytes; the whole set beside its two split copies would be 2.4x
-    run_gen(tmp_path, "warm-up")  # first-call imports are not the command's
-    big = SYNTH_SPEC.replace("N = 30", "N = 60").replace("C = 1", "C = 3")
-    spec = write(tmp_path / "big.cfg",
-                 big.replace("W = 8", "W = 32").replace("H = 8", "H = 32"))
-    dataset_bytes = 60 * 3 * 32 * 32 * 8
+def traced_peak(fn):
+    """The ``tracemalloc`` peak, in bytes, of one call of ``fn``."""
     tracemalloc.start()
     try:
-        assert main(["gen", "--spec", spec, "--out", str(tmp_path / "d")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * dataset_bytes
+
+
+# 3x32x32 images: at N = 40 each split already fills gen's 256 KiB draw
+# chunk and a 64 KiB hashing chunk, so every fixed buffer has its full size
+# at both N, and only what a command holds per image could grow with N
+SCALING_N = (40, 160)
+IMAGE_BYTES = 3 * 32 * 32 * 8  # one float64 image
+SLACK = 64 << 10
+
+
+def scaling_spec(n):
+    return (SYNTH_SPEC.replace("N = 30", f"N = {n}").replace("C = 1", "C = 3")
+            .replace("W = 8", "W = 32").replace("H = 8", "H = 32"))
+
+
+@pytest.fixture(scope="module")
+def scaling_sets(tmp_path_factory):
+    """Raw sets at both N, and a warm-up of every traced call, so that no
+    first-call import lands in a peak."""
+    root = tmp_path_factory.mktemp("scaling")
+    write(root / "pre.cfg", "target_size = 16x16\n")
+    for n in SCALING_N:
+        run_gen(root, f"raw{n}", scaling_spec(n))
+    main(["preprocess", "--spec", str(root / "pre.cfg"), "--in",
+          str(root / "raw40"), "--out", str(root / "warm-up")])
+    load_dataset(root / "raw40" / "train")
+    return root
+
+
+def held_beyond(command, root, n):
+    """A command's peak at N = n, less what it must hold: the outputs
+    ``preprocess`` keeps until every split is done, or the array
+    ``load_dataset`` returns."""
+    raw = root / f"raw{n}"
+    if command == "gen":
+        spec = write(root / f"synth{n}.cfg", scaling_spec(n))
+        return traced_peak(lambda: main(["gen", "--spec", spec,
+                                         "--out", str(root / f"gen{n}")]))
+    if command == "preprocess":
+        peak = traced_peak(lambda: main(
+            ["preprocess", "--spec", str(root / "pre.cfg"), "--in", str(raw),
+             "--out", str(root / f"pre{n}")]))
+        return peak - n * 3 * 16 * 16 * 8
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_dataset(raw / "train")))
+    return peak - loaded[0].images.nbytes
+
+
+@pytest.mark.parametrize("command", ["gen", "preprocess", "load_dataset"])
+def test_memory_does_not_grow_with_the_image_count(scaling_sets, command):
+    # holding a split whole (float64 plus its float32 copy) would add about
+    # 3.5 MB from N = 40 to N = 160
+    small, large = (held_beyond(command, scaling_sets, n) for n in SCALING_N)
+    assert large <= small + IMAGE_BYTES + SLACK, (small, large)
+
+
+def oversized_header(data):
+    """A rank-4 train header claiming 2**32 values over 16 bytes of values."""
+    (data / "train.gten").write_bytes(
+        b"GTEN" + struct.pack("<5I", 4, 256, 256, 256, 256) + bytes(16))
+
+
+@pytest.mark.parametrize("command", ["train", "preprocess"])
+def test_header_claiming_more_than_the_file_exits_3_without_allocating(
+        tmp_path, capsys, command):
+    make_args = train_args if command == "train" else preprocess_args
+    args = make_args(tmp_path, damage=oversized_header)
+    codes = []
+    peak = traced_peak(lambda: codes.append(main([command, *args])))
+    assert codes == [3]
+    assert "values field has 16 bytes" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def nan_in_last_image(path):
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+
+
+def last_value_cut(path):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+@pytest.mark.parametrize("damage", [nan_in_last_image, last_value_cut],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("command", ["train", "preprocess"])
+def test_damage_inside_the_last_image_exits_3(tmp_path, capsys, command, damage):
+    data = run_gen(tmp_path)
+    damage(data / "test.gten")  # the last split preprocess reads
+    out = tmp_path / "out"
+    args = (["--config", write(tmp_path / "train.cfg", TRAIN_CFG), "--data"]
+            if command == "train" else ["--spec", write(tmp_path / "pre.cfg",
+                                                        IDENTITY_PRE), "--in"])
+    assert main([command, *args, str(data), "--out", str(out)]) == 3
+    assert "data format error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_gen_value_the_writer_refuses_keeps_the_old_file(tmp_path, capsys):
+    out = run_gen(tmp_path)
+    old = {p.name: p.read_bytes() for p in out.iterdir()
+           if p.name != "manifest.txt"}
+    spec = write(tmp_path / "huge.cfg",
+                 SYNTH_SPEC.replace("noise_std = 1.0", "noise_std = 1e39"))
+    assert main(["gen", "--spec", spec, "--out", str(out)]) == 3
+    assert "float32 range" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +256,13 @@ def test_preprocess_identity_spec_bit_identical(tmp_path):
 
 
 def test_preprocess_fundus_style_pipeline(tmp_path):
-    # constant 4288-wide dummy flows through crop -> area resize -> flip
-    # -> standardize and lands at 224x224
-    from globalattn.datasets import ImageBatch, save_dataset
+    # constant 4288-wide dummies flow through crop -> area resize -> flip
+    # -> standardize and land at 224x224; the writer takes one float32
+    # image at a time, so the raw split is never built whole
     raw = tmp_path / "raw"
     raw.mkdir()
-    images = np.full((2, 3, 4288, 2848), 123.675)
-    save_dataset(ImageBatch(images, [0, 1], 2), raw / "train")
+    image = np.full((3, 4288, 2848), 123.675, dtype=np.float32)
+    save_dataset(raw / "train", [image, image], [0, 1], 2)
     flips = write(tmp_path / "flips.txt", "0\n")
     spec = write(tmp_path / "pre.cfg",
                  "crop_left = 260\ncrop_right = 3685\n"
@@ -355,8 +457,8 @@ def non_utf8_labels(data):
 
 def narrower_test_split(data):
     test = load_dataset(data / "test")
-    save_dataset(ImageBatch(test.images[:, :, :4], test.labels,
-                            test.num_classes), data / "test")
+    save_dataset(data / "test", test.images[:, :, :4], test.labels,
+                 test.num_classes)
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -63,7 +63,8 @@ def originals(tmp_path_factory):
     batch = ImageBatch(rng.uniform(0.0, 1.0, size=(3, 1, 4, 4)), [0, 2, 1],
                        num_classes=3)
     files = {}
-    for path in save_dataset(batch, root / "d"):
+    for path in save_dataset(root / "d", batch.images, batch.labels,
+                             batch.num_classes):
         files[path.name.split(".", 1)[1]] = path.read_bytes()
     save_model_checkpoint(AttentionModel("pixel_cnn", 3, 4, 4, channels=2,
                                          rng=rng), root / "a.ckpt")

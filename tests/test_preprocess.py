@@ -172,8 +172,8 @@ def test_standardization_rejects_bad_stats():
 def test_pipeline_identity_spec_is_bit_identical():
     rng = np.random.default_rng(5)
     batch = ImageBatch(rng.uniform(0, 255, size=(3, 1, 6, 6)), [0, 1, 0], 2)
-    out = apply_pipeline(PreprocessSpec(), batch)
-    assert np.array_equal(out.images, batch.images)
+    out = apply_pipeline(PreprocessSpec(), batch.images)
+    assert np.array_equal(out, batch.images)
 
 
 def test_pipeline_order_crop_resize_flip_normalize():
@@ -185,11 +185,11 @@ def test_pipeline_order_crop_resize_flip_normalize():
     spec = PreprocessSpec(crop_left=1, crop_right=3, target_size=(3, 2),
                           flip_indices=frozenset({0}),
                           channel_stats=((0.0, 1.0),))
-    out = apply_pipeline(spec, batch)
-    assert out.images.shape == (1, 1, 3, 2)
+    out = np.stack(apply_pipeline(spec, batch.images))
+    assert out.shape == (1, 1, 3, 2)
     expected = np.zeros((1, 3, 2))
     expected[0, 2, :] = 1.0  # white col was at 0 after crop, flips to 2
-    assert np.array_equal(out.images[0], expected)
+    assert np.array_equal(out[0], expected)
 
 
 def test_pipeline_is_reproducible():
@@ -198,16 +198,16 @@ def test_pipeline_is_reproducible():
     spec = PreprocessSpec(crop_left=1, crop_right=8, target_size=(4, 4),
                           flip_indices=frozenset({1}),
                           channel_stats=IDRID_STATS)
-    a = apply_pipeline(spec, batch)
-    b = apply_pipeline(spec, batch)
-    assert np.array_equal(a.images, b.images)
+    a = apply_pipeline(spec, batch.images)
+    b = apply_pipeline(spec, batch.images)
+    assert np.array_equal(a, b)
 
 
 def test_pipeline_flip_index_out_of_range():
     batch = ImageBatch(np.zeros((2, 1, 4, 4)), [0, 0], 1)
     spec = PreprocessSpec(flip_indices=frozenset({5}))
     with pytest.raises(ConfigError):
-        apply_pipeline(spec, batch)
+        apply_pipeline(spec, batch.images)
 
 
 # ---------------------------------------------------------------------------

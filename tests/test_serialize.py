@@ -1,4 +1,7 @@
 import ast
+import os
+import struct
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from globalattn.serialize import (gten_bytes, gten_from_bytes,
                                   load_model_checkpoint, read_checkpoint,
                                   read_gten, save_model_checkpoint,
                                   write_checkpoint, write_gten)
+
+from oracles import fnv1a64_reference
 
 
 def test_gten_roundtrip_bitwise(tmp_path):
@@ -56,7 +61,7 @@ def test_write_gten_refusing_a_value_writes_no_file(tmp_path):
 
 def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
     stem = tmp_path / "d"
-    save_dataset(ImageBatch(np.zeros((2, 1, 2, 2)), [0, 1], 2), stem)
+    save_dataset(stem, np.zeros((2, 1, 2, 2)), [0, 1], 2)
     old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     real, writes = serialize.atomic_write, []
 
@@ -71,12 +76,27 @@ def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(serialize, "atomic_write", failing_second_write)
     with pytest.raises(OSError, match="disk full"):
-        save_dataset(ImageBatch(np.ones((3, 1, 2, 2)), [1, 0, 1], 2), stem)
+        save_dataset(stem, np.ones((3, 1, 2, 2)), [1, 0, 1], 2)
     assert [p.name for p in writes] == ["d.gten", "d.labels.csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(old)
     assert (tmp_path / "d.labels.csv").read_bytes() == old["d.labels.csv"]
     assert (tmp_path / "d.meta").read_bytes() == old["d.meta"]
     assert read_gten(tmp_path / "d.gten").shape == (3, 1, 2, 2)
+
+
+@pytest.mark.parametrize("images", [
+    np.ones((3, 1, 2, 2)),
+    np.ones((1, 1, 2, 2)),
+    [np.ones((1, 2, 2)), np.ones((1, 2, 3))],
+    [np.ones((1, 2, 2)), np.full((1, 2, 2), np.nan)],
+], ids=["one-too-many", "one-too-few", "shapes-differ", "nan"])
+def test_save_dataset_refusing_its_images_keeps_the_old_file(tmp_path, images):
+    stem = tmp_path / "d"
+    save_dataset(stem, np.zeros((2, 1, 2, 2)), [0, 1], 2)
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ContractError):
+        save_dataset(stem, images, [1, 0], 2)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
 def _manifest_writer(directory):
@@ -95,7 +115,7 @@ WRITERS = {
     "write_checkpoint": lambda d: lambda v: write_checkpoint(
         d / "m.ckpt", {"v": str(v)}, [np.full(3, v)]),
     "save_dataset": lambda d: lambda v: save_dataset(
-        ImageBatch(np.full((2, 1, 2, 2), v), [0, 1], 2), d / "d"),
+        d / "d", np.full((2, 1, 2, 2), v), [0, 1], 2),
     "export_attention_map": lambda d: lambda v: export_attention_map(
         np.arange(4.0).reshape(2, 2) ** v, d / "m"),
     "manifest": _manifest_writer,
@@ -166,6 +186,113 @@ def test_only_serialize_writes_files():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Call) and _writes_a_file(node)}
     assert writers == {"serialize.py"}
+
+
+def _reads_tensor_bytes(node: ast.AST) -> bool:
+    """Whether a node decodes float32 tensor bytes (a ``'<f4'`` constant) or
+    reads a whole file's bytes (``read_bytes``)."""
+    if isinstance(node, ast.Constant):
+        return node.value == "<f4"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "read_bytes")
+
+
+def test_only_serialize_reads_tensor_files():
+    # one reader checks every .gten file and checkpoint blob against its
+    # size before it allocates, as one writer writes them all
+    package = Path(serialize.__file__).parent
+    readers = {path.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if _reads_tensor_bytes(node)}
+    assert readers == {"serialize.py"}
+
+
+@pytest.mark.parametrize("cut", [[], [0, 1, 65535], [3, 65536, 65539, 70000],
+                                 [131072], [5, 5, 6, 200000]],
+                         ids=["whole", "a-byte-short", "across", "aligned",
+                              "empty-parts"])
+def test_write_file_digest_does_not_depend_on_the_parts(tmp_path, cut):
+    blob = np.random.default_rng(3).bytes(200_001)
+    bounds = [0, *cut, len(blob)]
+    path = tmp_path / "f"
+    digest = serialize.write_file(
+        path, (blob[a:b] for a, b in zip(bounds, bounds[1:])))
+    assert path.read_bytes() == blob
+    assert digest == checksum_file(path) == f"{fnv1a64_reference(blob):016x}"
+
+
+def test_writer_takes_parts_one_at_a_time(tmp_path, monkeypatch):
+    events, real = [], serialize.atomic_write
+
+    class Handle:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, part):
+            events.append(("write", bytes(part)))
+            return self.fh.write(part)
+
+    @contextmanager
+    def recording(path):
+        with real(path) as fh:
+            yield Handle(fh)
+
+    def parts():
+        for i in range(3):
+            events.append(("make", i))
+            yield bytes([i])
+
+    monkeypatch.setattr(serialize, "atomic_write", recording)
+    serialize.write_file(tmp_path / "f", parts())
+    assert events == [("make", 0), ("write", b"\0"), ("make", 1),
+                      ("write", b"\1"), ("make", 2), ("write", b"\2")]
+
+
+def test_reader_holds_one_slice_beside_what_it_returns(tmp_path):
+    # at most one slice's float32 bytes while they convert to float64
+    path = tmp_path / "t.gten"
+    write_gten(path, np.ones((4, 3, 128, 128)))
+    slice_bytes = 3 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        back = read_gten(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < back.nbytes + 1.5 * slice_bytes + (64 << 10)
+
+
+def test_checkpoint_blob_claiming_more_than_it_spans_is_format_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, {}, [np.zeros(4)])
+    raw = path.read_bytes()
+    head_len = int.from_bytes(raw[:4], "little")
+    blob = 4 + head_len + 4  # the tensor blob, after its length prefix
+    # rank 2, dims 65536 x 65536: 2**32 values inside a 24-byte blob
+    damaged = (raw[:blob + 4] + (2).to_bytes(4, "little")
+               + (65536).to_bytes(4, "little") * 2 + raw[blob + 16:])
+    path.write_bytes(damaged[:len(raw)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="values field"):
+            read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_gten_header_claiming_more_than_the_file_is_format_error(tmp_path):
+    path = tmp_path / "t.gten"
+    path.write_bytes(b"GTEN" + struct.pack("<3I", 2, 65536, 65536) + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="values field has 16 bytes"):
+            read_gten(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_checkpoint_refusing_a_tensor_writes_no_file(tmp_path):
@@ -274,13 +401,13 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     images = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
     batch = ImageBatch(images, [0, 1, 2, 0], num_classes=3)
-    save_dataset(batch, tmp_path / "d")
+    save_dataset(tmp_path / "d", batch.images, batch.labels, batch.num_classes)
     back = load_dataset(tmp_path / "d")
     assert np.array_equal(back.images, batch.images)
     assert np.array_equal(back.labels, batch.labels)
     assert back.num_classes == 3
     # second round trip produces identical files
-    save_dataset(back, tmp_path / "d2")
+    save_dataset(tmp_path / "d2", back.images, back.labels, back.num_classes)
     assert (tmp_path / "d.gten").read_bytes() == (tmp_path / "d2.gten").read_bytes()
     assert ((tmp_path / "d.labels.csv").read_text()
             == (tmp_path / "d2.labels.csv").read_text())
@@ -288,7 +415,7 @@ def test_dataset_roundtrip_bit_exact(tmp_path):
 
 def test_dataset_truncated_tensor_is_format_error(tmp_path):
     batch = ImageBatch(np.zeros((2, 1, 2, 2)), [0, 1], num_classes=2)
-    save_dataset(batch, tmp_path / "d")
+    save_dataset(tmp_path / "d", batch.images, batch.labels, batch.num_classes)
     raw = (tmp_path / "d.gten").read_bytes()
     (tmp_path / "d.gten").write_bytes(raw[:-5])
     with pytest.raises(DataFormatError):
@@ -305,7 +432,7 @@ def test_dataset_wrong_rank_is_format_error(tmp_path):
 
 def test_dataset_label_outside_class_count(tmp_path):
     batch = ImageBatch(np.zeros((2, 1, 2, 2)), [0, 2], num_classes=3)
-    save_dataset(batch, tmp_path / "d")
+    save_dataset(tmp_path / "d", batch.images, batch.labels, batch.num_classes)
     (tmp_path / "d.meta").write_text("num_classes = 2\n")
     with pytest.raises(DataFormatError, match="label"):
         load_dataset(tmp_path / "d")
@@ -316,7 +443,7 @@ def test_dataset_label_outside_class_count(tmp_path):
 ], ids=["missing_field", "non_integer_field", "not_utf8"])
 def test_dataset_bad_meta_is_format_error(tmp_path, meta):
     batch = ImageBatch(np.zeros((2, 1, 2, 2)), [0, 1], num_classes=2)
-    save_dataset(batch, tmp_path / "d")
+    save_dataset(tmp_path / "d", batch.images, batch.labels, batch.num_classes)
     (tmp_path / "d.meta").write_bytes(meta)
     with pytest.raises(DataFormatError, match="meta"):
         load_dataset(tmp_path / "d")
@@ -324,7 +451,7 @@ def test_dataset_bad_meta_is_format_error(tmp_path, meta):
 
 def test_dataset_row_count_mismatch(tmp_path):
     batch = ImageBatch(np.zeros((3, 1, 2, 2)), [0, 1, 0], num_classes=2)
-    paths = save_dataset(batch, tmp_path / "d")
+    paths = save_dataset(tmp_path / "d", batch.images, batch.labels, batch.num_classes)
     labels_path = list(paths)[1]
     lines = labels_path.read_text().splitlines()
     labels_path.write_text("\n".join(lines[:-1]) + "\n")
