@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="grid file (K/lambda/E lists)")
     p.add_argument("--data", required=True, help="dataset dir with train/test")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel cells")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="cells run at a time (at least 1)")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

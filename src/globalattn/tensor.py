@@ -12,7 +12,11 @@ takes the input slots and closes over only the arrays it reads: a conv its
 input and kernel, a relu its bool mask, a max-pool which entry of each
 window won, a sigmoid its output.  So a taped step keeps no conv or pool
 output alive that no later layer reads.  :func:`backward` drops each
-produced tensor's gradient once its own record's backward has run.
+record's rule once it has run, or has been skipped because its output got
+no gradient, so the arrays that rule read are freed while the replay moves
+on to earlier layers; it drops each produced tensor's gradient at the same
+point.  A tape therefore replays once: a second :func:`backward` on it
+raises :class:`ContractError`.
 
 Only the layer types the two networks need are provided: a same-size
 conv2d (stride 1, padding k // 2, so every convolution keeps W x H; its
@@ -148,12 +152,13 @@ def _accumulate(s: _Slot, g: np.ndarray, fresh: bool = False) -> None:
 class _Record:
     """One executed operation: the gradient slots of its output and inputs,
     and its backward rule, which takes the output's gradient and the input
-    slots."""
+    slots.  :func:`backward` sets the rule to None once it has replayed
+    the record."""
 
     __slots__ = ("output", "inputs", "backward_fn")
 
     def __init__(self, output: _Slot, inputs: tuple[_Slot, ...],
-                 backward_fn: Callable[..., None]):
+                 backward_fn: Callable[..., None] | None):
         self.output = output
         self.inputs = inputs
         self.backward_fn = backward_fn
@@ -168,13 +173,16 @@ class GradientTape:
     """Ordered record of executed operations for one backward pass.
 
     Use as a context manager; operations executed inside the ``with`` block
-    whose output requires a gradient are recorded.  ``clear()`` empties the
-    record, zeroes the gradient buffers of the tensors it only read
-    (parameters and inputs) and drops those of the tensors it produced.
+    whose output requires a gradient are recorded.  :func:`backward`
+    replays it once.  ``clear()`` empties the record, zeroes the gradient
+    buffers of the tensors it only read (parameters and inputs), drops
+    those of the tensors it produced, and makes the tape ready for a new
+    recording and replay.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
+        self._replayed = False
 
     def __enter__(self) -> "GradientTape":
         _TAPES.append(self)
@@ -199,6 +207,7 @@ class GradientTape:
                 if id(s) not in produced:
                     s.zero_grad()
         self._records.clear()
+        self._replayed = False
 
 
 def backward(loss: Tensor, tape: GradientTape) -> None:
@@ -208,16 +217,27 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     Gradients add onto the buffers of the tensors the tape only read;
     callers zero them between steps with ``tape.clear()``.  A tensor that
     the tape produced has its gradient dropped once its own record's
-    backward has run, since every use of it was recorded after it.
+    backward has run, since every use of it was recorded after it.  Each
+    record's rule is dropped at the same point, or when it is skipped
+    because its output got no gradient, so the arrays it closed over (conv
+    inputs and kernels, pool choices, ReLU masks) are freed before the
+    earlier layers replay.  So a tape replays once: calling this again
+    before ``tape.clear()`` raises :class:`ContractError` and changes no
+    gradient.
     """
     if loss.data.size != 1:
         raise ContractError(
             f"backward() requires a scalar loss, got shape {loss.shape}")
+    if tape._replayed:
+        raise ContractError(
+            "backward() has already replayed this tape; clear() it first")
+    tape._replayed = True
     _accumulate(loss._slot, np.ones_like(loss.data), fresh=True)
     for rec in reversed(tape._records):
+        rule, rec.backward_fn = rec.backward_fn, None
         out = rec.output
         if out.grad is not None:
-            rec.backward_fn(out.grad, *rec.inputs)
+            rule(out.grad, *rec.inputs)
             out.grad = None
 
 

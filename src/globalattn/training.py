@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -367,12 +366,19 @@ def sweep(train_set: ImageBatch, test_set: ImageBatch, base_cfg: TrainConfig,
           k_values: list[int], lambda_values: list[float],
           e_values: list[int], jobs: int = 1
           ) -> list[tuple[int, float, int, float, float]]:
-    """Evaluate every (K, lambda, E) grid cell; rows follow grid order."""
+    """Evaluate every (K, lambda, E) grid cell; rows follow grid order.
+
+    ``jobs`` > 1 runs the cells in a process pool, which only then is
+    imported; ``jobs`` < 1 is a :class:`ConfigError`.
+    """
+    if jobs < 1:
+        raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
     cells = []
     for k, lam, e in itertools.product(k_values, lambda_values, e_values):
         cfg = replace(base_cfg, channels=k, l1_coeff=lam, cutoff_epoch=e)
         cells.append((k, lam, e, cfg))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
                 _sweep_cell,

@@ -1,5 +1,8 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -744,13 +747,24 @@ EXIT_CODES = [
     ("gradcheck", 2, lambda t: ["--size", "8by8"]),
     ("sweep", 0, sweep_args),
     ("sweep", 2, lambda t: sweep_args(t, grid_text="K = 4\n")),
+    ("sweep", 2, lambda t: [*sweep_args(t), "--jobs", "0"]),
     ("sweep", 3, lambda t: sweep_args(t, damage=nan_pixel)),
     ("sweep", 4, lambda t: sweep_args(t, TRAIN_CFG + "lr = 1e200\n")),
 ]
 
 
+def exit_code_ids(rows):
+    """Each row's id is its command and code, as in "sweep-2"; the second
+    and later rows with the same pair add "-2", "-3", ..."""
+    ids = []
+    for command, code, _ in rows:
+        base = f"{command}-{code}"
+        ids.append(base if base not in ids else f"{base}-{ids.count(base) + 1}")
+    return ids
+
+
 @pytest.mark.parametrize("command, code, args", EXIT_CODES,
-                         ids=[f"{c}-{k}" for c, k, _ in EXIT_CODES])
+                         ids=exit_code_ids(EXIT_CODES))
 def test_documented_exit_code(tmp_path, command, code, args):
     assert main([command, *args(tmp_path)]) == code
 
@@ -797,3 +811,23 @@ def test_readme_exit_code_paragraph_matches_table():
     paragraph = readme.split("Exit codes are stable:")[1].split("\n\n")[0]
     named = {int(code) for code in re.findall(r"`(\d)`", paragraph)}
     assert named == {code for _, code, _ in EXIT_CODES}
+
+
+IMPORT_CLI = """
+import sys
+import globalattn.cli
+print(*(m for m in ("concurrent.futures.process", "multiprocessing")
+        if m in sys.modules))
+"""
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only sweep --jobs N > 1 runs a pool, and loading one costs every
+    # process about 2 MB of resident memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

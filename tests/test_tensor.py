@@ -642,6 +642,38 @@ def test_backward_drops_produced_gradients_and_adoption_changes_no_bit(
     assert grads() == adopted
 
 
+def test_backward_drops_every_rule_it_runs_or_skips():
+    # a rule whose output got no gradient is skipped and dropped all the same
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    with GradientTape() as tape:
+        loss = tensor_sum(mul(x, x))
+        unused = relu(x)
+    assert all(rec.backward_fn is not None for rec in tape._records)
+    backward(loss, tape)
+    assert len(tape) == 3 and unused.grad is None
+    assert all(rec.backward_fn is None for rec in tape._records)
+
+
+def test_a_tape_replays_once():
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    w = Tensor([0.5, 0.25, -1.0], requires_grad=True)
+    with GradientTape() as tape:
+        loss = add(tensor_sum(mul(x, x)), tensor_sum(mul(x, w)))
+    backward(loss, tape)
+    before = [x.grad.tobytes(), w.grad.tobytes()]
+    assert np.array_equal(x.grad, [2.5, -3.75, 5.0])
+    with pytest.raises(ContractError, match="replayed"):
+        backward(loss, tape)
+    assert [x.grad.tobytes(), w.grad.tobytes()] == before
+    assert len(tape) == 5
+    tape.clear()  # records kept their slots, so leaf gradients are zeroed
+    assert not x.grad.any() and not w.grad.any() and len(tape) == 0
+    with tape:
+        loss = add(tensor_sum(mul(x, x)), tensor_sum(mul(x, w)))
+    backward(loss, tape)
+    assert [x.grad.tobytes(), w.grad.tobytes()] == before
+
+
 def test_tape_records_and_backward_rules_hold_no_tensor():
     # a Tensor held by a record or by a rule's closure would keep its data
     rng = np.random.default_rng(24)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from globalattn import training
 from globalattn.attention import AttentionModel, build_pixel_representation
 from globalattn.classifier import ClassifierModel, classifier_forward
 from globalattn.datasets import ImageBatch
@@ -362,6 +363,19 @@ def test_sweep_rerun_produces_identical_csv():
     b = sweep_csv_text(sweep(tr, te, cfg, [2, 4], [0.03], [1]))
     assert a == b
     assert a.splitlines()[0] == "K,lambda,E,mean_acc,std_acc"
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_below_one_job_is_a_config_error_before_any_training(
+        monkeypatch, jobs):
+    tr, te, _ = tiny_sets()
+
+    def no_training(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(training, "run_protocol", no_training)
+    with pytest.raises(ConfigError, match="jobs"):
+        sweep(tr, te, tiny_cfg(), [2, 4], [0.03], [1], jobs=jobs)
 
 
 def test_sweep_parallel_jobs_match_serial():
