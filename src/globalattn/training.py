@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -206,27 +207,45 @@ def build_models(train_set: ImageBatch, cfg: TrainConfig
     return attention, classifier, build_pixel_representation(train_set)
 
 
-# glibc's mallopt parameters, from <malloc.h>
+# glibc's mallopt parameters, from <malloc.h>, and the value each starts at
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_GLIBC_DEFAULT_THRESHOLD = 128 << 10
 
 
-def _retain_freed_heap() -> None:
-    """Let glibc keep a step's freed arrays for the next step's reuse.
+@contextmanager
+def _heap_policy_for_run():
+    """Let glibc keep a step's freed arrays for the next step's reuse, for
+    the length of one run, and hand the freed heap back when it ends.
 
     A step allocates and frees some tens of MB of arrays.  Until glibc has
     seen a large buffer freed, its default maps each large array afresh and
     hands freed heap back to the OS, so every step faults all those pages
-    in again: a third of wall in ``attention_mode = none``.  These are the
-    values glibc's own policy adapts to at most; a C library without
-    ``mallopt`` keeps its default.
+    in again: a third of wall in ``attention_mode = none``.  Inside the
+    block the mmap and trim thresholds are 32 and 64 MB, the most glibc's
+    own policy adapts to.  On exit, also by an exception, both go back to
+    glibc's starting 128 KiB and ``malloc_trim(0)`` returns the free heap
+    to the OS.  glibc has no getter for these values, so a caller's own
+    ``mallopt`` settings are not restored, and glibc stops adapting the
+    thresholds once they are set.  A C library without ``mallopt`` and
+    ``malloc_trim`` keeps its default.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
     except (AttributeError, OSError, TypeError):
+        yield
         return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    malloc_trim.argtypes = [ctypes.c_size_t]
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    try:
+        yield
+    finally:
+        mallopt(_M_MMAP_THRESHOLD, _GLIBC_DEFAULT_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _GLIBC_DEFAULT_THRESHOLD)
+        malloc_trim(0)
 
 
 def train(train_set: ImageBatch, test_set: ImageBatch,
@@ -237,60 +256,63 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
     and their optimizer state stay untouched bit for bit, and the cached
     constant map keeps multiplying the inputs.  Raises
     :class:`DivergenceError` with the epoch index if the loss goes
-    non-finite.  On glibc it sets the process's heap policy (see
-    :func:`_retain_freed_heap`).
+    non-finite.  On glibc the steps reuse each other's freed arrays, and
+    the call returns, or raises, with glibc's starting heap thresholds
+    and its free heap handed back to the OS (see
+    :func:`_heap_policy_for_run`).
     """
     _check_compatible(train_set, test_set)
-    _retain_freed_heap()
-    attention, classifier, p = build_models(train_set, cfg)
-    opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
-    opt_m = Adam(attention.params, cfg.lr) if attention.params else None
-    shuffle_rng = rng_for(cfg.seed, SHUFFLE)
+    with _heap_policy_for_run():
+        attention, classifier, p = build_models(train_set, cfg)
+        opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
+        opt_m = Adam(attention.params, cfg.lr) if attention.params else None
+        shuffle_rng = rng_for(cfg.seed, SHUFFLE)
 
-    def current_map() -> np.ndarray:
-        return attention_forward(attention, p).data
+        def current_map() -> np.ndarray:
+            return attention_forward(attention, p).data
 
-    map_now = current_map()
-    snapshots = {0: map_now.copy()}
-    rows: list[EpochRow] = []
-    for epoch in range(1, cfg.total_epochs + 1):
-        joint = epoch <= cfg.cutoff_epoch and opt_m is not None
-        # after the last joint epoch the map no longer changes
-        frozen_map = None if joint else Tensor(map_now)
-        order = shuffle_rng.permutation(train_set.n)
-        loss_sum = 0.0
-        for start in range(0, train_set.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb = Tensor(train_set.images[idx])
-            yb = train_set.labels[idx]
-            # a diverging step overflows; the finite-loss check reports it
-            with (np.errstate(over="ignore", invalid="ignore",
-                              divide="ignore"),
-                  GradientTape() as tape):
-                cost = compute_cost(xb, yb, attention, classifier, p,
-                                    cfg.l1_coeff, weight_map=frozen_map)
-                if not np.isfinite(cost.data).all():
-                    raise DivergenceError(epoch)
-                backward(cost, tape)
-            opt_f.step()
+        map_now = current_map()
+        snapshots = {0: map_now.copy()}
+        rows: list[EpochRow] = []
+        for epoch in range(1, cfg.total_epochs + 1):
+            joint = epoch <= cfg.cutoff_epoch and opt_m is not None
+            # after the last joint epoch the map no longer changes
+            frozen_map = None if joint else Tensor(map_now)
+            order = shuffle_rng.permutation(train_set.n)
+            loss_sum = 0.0
+            for start in range(0, train_set.n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                xb = Tensor(train_set.images[idx])
+                yb = train_set.labels[idx]
+                # a diverging step overflows; the finite-loss check reports it
+                with (np.errstate(over="ignore", invalid="ignore",
+                                  divide="ignore"),
+                      GradientTape() as tape):
+                    cost = compute_cost(xb, yb, attention, classifier, p,
+                                        cfg.l1_coeff, weight_map=frozen_map)
+                    if not np.isfinite(cost.data).all():
+                        raise DivergenceError(epoch)
+                    backward(cost, tape)
+                opt_f.step()
+                if joint:
+                    opt_m.step()
+                tape.clear()
+                loss_sum += cost.item() * len(idx)
             if joint:
-                opt_m.step()
-            tape.clear()
-            loss_sum += cost.item() * len(idx)
-        if joint:
-            map_now = current_map()
-        rows.append(EpochRow(
-            epoch=epoch,
-            train_loss=loss_sum / train_set.n,
-            train_acc=_eval_accuracy(classifier, map_now, train_set,
-                                     cfg.batch_size),
-            test_acc=_eval_accuracy(classifier, map_now, test_set,
-                                    cfg.batch_size),
-            l1_penalty=float(
-                attention_l1_penalty(attention, Tensor(map_now)).data)))
-        if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
-            snapshots[epoch] = map_now.copy()
-    return TrainReport(rows, snapshots, final_models=(attention, classifier))
+                map_now = current_map()
+            rows.append(EpochRow(
+                epoch=epoch,
+                train_loss=loss_sum / train_set.n,
+                train_acc=_eval_accuracy(classifier, map_now, train_set,
+                                         cfg.batch_size),
+                test_acc=_eval_accuracy(classifier, map_now, test_set,
+                                        cfg.batch_size),
+                l1_penalty=float(
+                    attention_l1_penalty(attention, Tensor(map_now)).data)))
+            if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
+                snapshots[epoch] = map_now.copy()
+        return TrainReport(rows, snapshots,
+                           final_models=(attention, classifier))
 
 
 def rank_epochs(mean_accuracy, top: int) -> list[int]:
@@ -368,8 +390,9 @@ def sweep(train_set: ImageBatch, test_set: ImageBatch, base_cfg: TrainConfig,
           ) -> list[tuple[int, float, int, float, float]]:
     """Evaluate every (K, lambda, E) grid cell; rows follow grid order.
 
-    ``jobs`` > 1 runs the cells in a process pool, which only then is
-    imported; ``jobs`` < 1 is a :class:`ConfigError`.
+    With ``jobs`` > 1 and more than one cell, the cells run in a process
+    pool of ``min(jobs, cells)`` workers, which only then is imported;
+    ``jobs`` < 1 is a :class:`ConfigError`.
     """
     if jobs < 1:
         raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
@@ -377,9 +400,10 @@ def sweep(train_set: ImageBatch, test_set: ImageBatch, base_cfg: TrainConfig,
     for k, lam, e in itertools.product(k_values, lambda_values, e_values):
         cfg = replace(base_cfg, channels=k, l1_coeff=lam, cutoff_epoch=e)
         cells.append((k, lam, e, cfg))
-    if jobs > 1:
+    workers = min(jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 _sweep_cell,
                 [(train_set, test_set, cfg) for _, _, _, cfg in cells]))

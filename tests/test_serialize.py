@@ -188,6 +188,39 @@ def test_only_serialize_writes_files():
     assert writers == {"serialize.py"}
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every module, name, attribute and string a node mentions."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            found.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.ImportFrom):
+            found.add(sub.module or "")
+        elif isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def test_only_trains_scoped_helper_sets_the_heap_policy():
+    # a malloc policy set anywhere else would outlive the train() call
+    package = Path(serialize.__file__).parent
+    ctypes_users, policy_setters = set(), set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _names(stmt)
+            if any(n.partition(".")[0] == "ctypes" for n in names):
+                ctypes_users.add(path.name)
+            if names & {"mallopt", "malloc_trim"}:
+                policy_setters.add(
+                    (path.name, getattr(stmt, "name", "<module>")))
+    assert ctypes_users == {"training.py"}
+    assert policy_setters == {("training.py", "_heap_policy_for_run")}
+
+
 def _reads_tensor_bytes(node: ast.AST) -> bool:
     """Whether a node decodes float32 tensor bytes (a ``'<f4'`` constant) or
     reads a whole file's bytes (``read_bytes``)."""

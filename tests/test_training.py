@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import platform
 import subprocess
@@ -140,33 +141,82 @@ def test_train_is_bitwise_reproducible():
     assert np.array_equal(a.snapshots[6], b.snapshots[6])
 
 
-# a fresh interpreter, so the heap starts from glibc's default policy
-REPEAT_TRAIN = """
-import resource
+# Each heap test runs in a fresh interpreter, so the heap starts from
+# glibc's default policy and no earlier test's arrays sit on it.
+FRESH_TRAIN = """
+import os
+import numpy as np
+from globalattn.errors import DivergenceError
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.training import TrainConfig, train
 spec = SyntheticSpec(n=80, c=1, w=32, h=32, relevant_region=(12, 12, 19, 19),
                      num_classes=3, signal_strength=2.0, noise_std=1.0, seed=1)
 tr, te = split_train_test(generate_synthetic(spec)[0], 0.8, 1)
-cfg = TrainConfig(total_epochs=3, cutoff_epoch=1, attention_mode="none")
-train(tr, te, cfg)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train(tr, te, cfg)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+def run(epochs, lr=0.003):
+    try:
+        train(tr, te, TrainConfig(total_epochs=epochs, cutoff_epoch=1, lr=lr,
+                                  attention_mode="none"))
+    except DivergenceError:
+        return "diverged"
+    return "finished"
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+"""
+
+glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="the heap policy is glibc's mallopt")
+
+
+def run_fresh(script):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", FRESH_TRAIN + script],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+RESIDENT_AFTER_TRAIN = """
+before = resident()
+outcome = run(3, {lr})
+after = resident()
+np.ones(2 << 20)  # 16 MB, made and dropped
+print(outcome, after - before, resident() - after)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the heap policy is set through glibc's mallopt")
-def test_repeated_train_reuses_the_freed_heap():
-    # glibc's default returns each step's freed arrays to the OS, and a
-    # second identical run then faults in tens of thousands of pages
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-c", REPEAT_TRAIN], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 1000
+@glibc_only
+@pytest.mark.parametrize("lr, outcome", [(0.003, "finished"),
+                                         (1e200, "diverged")])
+def test_train_hands_its_freed_heap_back(lr, outcome):
+    # the policy lasts for the call: what its steps freed goes back to the
+    # OS, and a later 16 MB array is mapped and unmapped, not kept on a heap
+    ran, kept, array_kept = run_fresh(RESIDENT_AFTER_TRAIN.format(lr=lr))
+    assert ran == outcome
+    assert int(kept) < 2 << 20
+    assert int(array_kept) < 1 << 20
+
+
+EXTRA_EPOCH_FAULTS = """
+import resource
+def minor_faults(epochs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(epochs)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+run(3)
+print(minor_faults(6) - minor_faults(3))
+"""
+
+
+@glibc_only
+def test_steps_within_one_train_reuse_the_freed_heap():
+    # with glibc's default each step's freed arrays go back to the OS, and
+    # three more epochs fault in about ten thousand pages again
+    assert int(*run_fresh(EXTRA_EPOCH_FAULTS)) < 1000
 
 
 def joint_epoch_peak(n):
@@ -384,6 +434,32 @@ def test_sweep_parallel_jobs_match_serial():
     serial = sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=1)
     parallel = sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=2)
     assert serial == parallel
+
+
+def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
+    # a pool forks all its workers at the first submit, so more workers
+    # than cells would only idle
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    tr, te, _ = tiny_sets()
+    cfg = tiny_cfg(total_epochs=2, cutoff_epoch=1)
+    rows = sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=8)
+    assert started == [2]
+    assert rows == sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=1)
 
 
 # ---------------------------------------------------------------------------
