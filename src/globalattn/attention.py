@@ -50,8 +50,6 @@ def build_pixel_representation(batch: ImageBatch) -> Tensor:
     It is a view of ``batch.images`` when they reshape without a copy (as a
     C-contiguous batch does), so callers must not write into either.
     """
-    if batch.n < 1:
-        raise ContractError("pixel representation needs a non-empty batch")
     n, c, w, h = batch.images.shape
     return Tensor(batch.images.reshape(1, n * c, w, h))
 

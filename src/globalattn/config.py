@@ -49,8 +49,8 @@ def parse_kv_text(text: str, allowed_keys: tuple[str, ...] | None = None
 def load_kv_file(path: str | Path, allowed_keys: tuple[str, ...] | None = None
                  ) -> dict[str, str]:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file {path} is missing or not a file")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

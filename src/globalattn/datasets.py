@@ -162,18 +162,21 @@ def open_dataset(stem: str | Path
     (N, C, W, H) shape, a one-pass iterator over its images read one at a
     time, its labels and its class count.
 
-    Every check but those of the image values runs before this returns; a
-    NaN, an infinity or a truncation among the values raises
-    :class:`DataFormatError` when its image is reached.
+    Every check but those of the image values runs before this returns: a
+    missing file, or a directory where a file should be, raises
+    :class:`DataFormatError` like a malformed one.  A NaN, an infinity or a
+    truncation among the values raises :class:`DataFormatError` when its
+    image is reached.
     """
     tensor_path, labels_path, meta_path = _paths(stem)
+    for path in (tensor_path, labels_path, meta_path):
+        if not path.is_file():
+            raise DataFormatError(f"dataset file {path} is missing or not a file")
     shape, images = gten_slices(tensor_path)
     if len(shape) != 4:
         raise DataFormatError(
             f"dataset tensor rank field is {len(shape)}, expected 4")
     labels = _read_labels_csv(labels_path, shape[0])
-    if not meta_path.exists():
-        raise DataFormatError(f"missing meta file {meta_path}")
     try:
         meta = parse_kv_text(meta_path.read_text(encoding="utf-8"))
         num_classes = parse_fields(_META_FIELDS, meta, required=True)["num_classes"]
@@ -188,8 +191,9 @@ def open_dataset(stem: str | Path
 
 def load_dataset(stem: str | Path) -> ImageBatch:
     """Load a dataset written by :func:`save_dataset`, filling its array one
-    image at a time; a dataset that :func:`open_dataset` or
-    :class:`ImageBatch` rejects raises :class:`DataFormatError`."""
+    image at a time; a dataset that :func:`open_dataset` rejects raises
+    :class:`DataFormatError`, and by then :class:`ImageBatch` finds nothing
+    more to reject."""
     shape, images, labels, num_classes = open_dataset(stem)
     array = np.fromiter(images, np.dtype((np.float64, shape[1:])), shape[0])
     return ImageBatch(array, labels, num_classes)

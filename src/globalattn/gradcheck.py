@@ -2,7 +2,7 @@
 
 ``finite_diff_grad`` estimates gradients by central differences and is the
 independent check every backward rule is validated against.  Comparison
-rule: elements whose reference magnitude reaches ``abs_floor`` are compared
+rule: elements whose reference magnitude reaches ``ABS_FLOOR`` are compared
 relatively, smaller ones absolutely at the floor (central differences carry
 an absolute noise floor regardless of the true gradient size).
 """
@@ -17,6 +17,8 @@ from .errors import ContractError
 from .tensor import Tensor
 
 __all__ = ["finite_diff_grad", "grad_discrepancy", "GradCheckResult"]
+
+ABS_FLOOR = 1e-6
 
 
 def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
@@ -48,19 +50,18 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
 
 
 def grad_discrepancy(analytic: np.ndarray, numeric: np.ndarray,
-                     rel_tol: float = 1e-3,
-                     abs_floor: float = 1e-6) -> float:
+                     rel_tol: float = 1e-3) -> float:
     """Worst-case mismatch, scaled so that a value <= ``rel_tol`` passes.
 
-    Elements with |numeric| >= abs_floor contribute |diff| / |numeric|;
-    smaller elements contribute |diff| * rel_tol / abs_floor, which stays
-    under ``rel_tol`` exactly when |diff| <= abs_floor.
+    Elements with |numeric| >= ABS_FLOOR contribute |diff| / |numeric|;
+    smaller elements contribute |diff| * rel_tol / ABS_FLOOR, which stays
+    under ``rel_tol`` exactly when |diff| <= ABS_FLOOR.
     """
     diff = np.abs(analytic - numeric)
     ref = np.abs(numeric)
-    small = ref < abs_floor
+    small = ref < ABS_FLOOR
     scaled = np.where(small,
-                      diff * (rel_tol / abs_floor),
+                      diff * (rel_tol / ABS_FLOOR),
                       diff / np.where(small, 1.0, ref))
     return float(scaled.max()) if scaled.size else 0.0
 
@@ -68,8 +69,7 @@ def grad_discrepancy(analytic: np.ndarray, numeric: np.ndarray,
 class GradCheckResult:
     """Per-parameter worst errors from a full-model gradient check."""
 
-    def __init__(self, errors: dict[str, float], tolerance: float,
-                 h: float | None = None):
+    def __init__(self, errors: dict[str, float], tolerance: float, h: float):
         self.errors = errors
         self.tolerance = tolerance
         self.h = h

@@ -33,6 +33,11 @@ __all__ = ["full_pipeline_gradcheck"]
 
 MAX_SIZE = 16
 MAX_IMAGES = 4
+# the cost's lambda, the finite-difference step tried first, and the worst
+# scaled discrepancy (see grad_discrepancy) that passes
+L1_COEFF = 0.05
+H = 1e-3
+TOLERANCE = 1e-3
 _REDRAW = 0x3B1B448D3C0633DD  # seeding.stream_tag("gradcheck-redraw")
 # Draws per step size; the default 8x8, 2-image check clears at h = 1e-3
 # after 215 failed draws, and a larger budget only delays the next step.
@@ -136,8 +141,6 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
                             hidden_kernel: int = 3, depth: int = 2,
                             last_kernel: int = 1,
                             dense_connections: bool = False,
-                            l1_coeff: float = 0.05, h: float = 1e-3,
-                            tolerance: float = 1e-3,
                             corrupt: bool = False) -> GradCheckResult:
     """Check d(cost)/d(param) for every parameter of both networks.
 
@@ -162,18 +165,18 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
     batch, _ = generate_synthetic(spec)
     stages = (4, 8) if width % 4 == 0 and height % 4 == 0 else (4,)
     attention, classifier, p, h = _draw_instance(
-        batch, seed, h, channels=channels, hidden_kernel=hidden_kernel,
+        batch, seed, H, channels=channels, hidden_kernel=hidden_kernel,
         depth=depth, last_kernel=last_kernel,
         dense_connections=dense_connections, stages=stages)
     images_t = Tensor(batch.images)
 
     def cost_value(_=None) -> float:
         return compute_cost(images_t, batch.labels, attention, classifier,
-                            p, l1_coeff).item()
+                            p, L1_COEFF).item()
 
     with GradientTape() as tape:
         cost = compute_cost(images_t, batch.labels, attention, classifier,
-                            p, l1_coeff)
+                            p, L1_COEFF)
     backward(cost, tape)
 
     named = [(f"attention.p{i}", t) for i, t in enumerate(attention.params)]
@@ -187,5 +190,5 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
     for name, param in named:
         numeric = finite_diff_grad(cost_value, param, h)
         errors[name] = grad_discrepancy(analytic[name], numeric,
-                                        rel_tol=tolerance)
-    return GradCheckResult(errors, tolerance, h=h)
+                                        rel_tol=TOLERANCE)
+    return GradCheckResult(errors, TOLERANCE, h)

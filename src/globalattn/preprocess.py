@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (Field, field_keys, load_kv_file, parse_fields,
-                     parse_float, parse_kv_text, parse_size)
+                     parse_float, parse_size)
 from .errors import ConfigError, ContractError
 
 __all__ = [
@@ -101,7 +101,14 @@ def normalize_standardize(image: np.ndarray,
     for ch, (mean, std) in enumerate(stats):
         if std <= 0:
             raise ConfigError(f"channel {ch} std must be > 0, got {std}")
-        out[ch] = (out[ch] - mean) / std
+        try:
+            # a finite image and finite stats turn non-finite only by
+            # overflowing
+            with np.errstate(over="raise"):
+                out[ch] = (out[ch] - mean) / std
+        except FloatingPointError as exc:
+            raise ConfigError(f"channel_stats pair {mean}:{std} overflows "
+                              f"channel {ch} to infinity") from exc
     return out
 
 
@@ -205,25 +212,16 @@ def packaged_flip_list(name: str) -> Path:
     return path
 
 
-def _spec_from_kv(kv: dict[str, str], base_dir: Path | None) -> PreprocessSpec:
-    kv = {key: value for key, value in kv.items() if value}
-    if base_dir is not None and "flip_indices" in kv:
-        kv["flip_indices"] = str(base_dir / kv["flip_indices"])
-    return PreprocessSpec(**parse_fields(PreprocessSpec.FIELDS, kv))
-
-
-def parse_preprocess_spec(text: str, base_dir: Path | None = None) -> PreprocessSpec:
-    """Build a spec from flat ``key = value`` text.
+def load_preprocess_spec(path: str | Path) -> PreprocessSpec:
+    """Build a spec from the flat ``key = value`` file ``path``.
 
     Empty values skip a stage.  ``target_size`` is ``WxH``;
     ``channel_stats`` is comma-separated ``mean:std`` pairs;
     ``flip_indices`` is a path (relative to the config file) to a
     newline-separated index list.
     """
-    return _spec_from_kv(
-        parse_kv_text(text, field_keys(PreprocessSpec.FIELDS)), base_dir)
-
-
-def load_preprocess_spec(path: str | Path) -> PreprocessSpec:
-    return _spec_from_kv(
-        load_kv_file(path, field_keys(PreprocessSpec.FIELDS)), Path(path).parent)
+    kv = load_kv_file(path, field_keys(PreprocessSpec.FIELDS))
+    kv = {key: value for key, value in kv.items() if value}
+    if "flip_indices" in kv:
+        kv["flip_indices"] = str(Path(path).parent / kv["flip_indices"])
+    return PreprocessSpec(**parse_fields(PreprocessSpec.FIELDS, kv))

@@ -19,7 +19,6 @@ allocates anything, then converts one slice at a time.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
@@ -34,8 +33,6 @@ from .errors import ConfigError, ContractError, DataFormatError
 from .seeding import _FNV_CHUNK, FNV_OFFSET, fnv1a64
 
 __all__ = [
-    "gten_bytes",
-    "gten_from_bytes",
     "atomic_write",
     "write_file",
     "write_gten",
@@ -55,18 +52,27 @@ def _gten_head(shape: tuple[int, ...]) -> bytes:
 
 
 def _f4(values) -> memoryview:
-    """The bytes of ``values`` as C-ordered little-endian float32.  A finite
-    value beyond the float32 range raises :class:`DataFormatError`: it would
-    cast to inf, and the tensor would not load."""
-    try:
-        # turns the cast's overflow warning into an error
-        with np.errstate(over="raise"):
-            # note: ascontiguousarray would promote rank-0 arrays to rank 1
-            arr = np.asarray(values, dtype="<f4", order="C")
-    except FloatingPointError as exc:
-        raise DataFormatError(
-            "tensor holds a value beyond the float32 range") from exc
+    """The bytes of ``values`` as C-ordered little-endian float32.  A NaN,
+    an infinity or a finite value beyond the float32 range (it would cast to
+    inf) raises :class:`DataFormatError`: the tensor would not load."""
+    # a value beyond the float32 range casts to inf, which the test below
+    # refuses, so the cast's overflow warning would say nothing more
+    with np.errstate(over="ignore"):
+        # note: ascontiguousarray would promote rank-0 arrays to rank 1
+        arr = np.asarray(values, dtype="<f4", order="C")
+    if not _finite_f4(arr):
+        raise DataFormatError("tensor holds a NaN, an infinity or a value "
+                              "beyond the float32 range")
     return memoryview(arr).cast("B")
+
+
+def _finite_f4(values: np.ndarray) -> bool:
+    """Whether every float32 value is finite, with no mask of the values: a
+    float64 sum of float32 values cannot overflow, so it is finite exactly
+    when every value is.  A sum that meets inf and -inf is NaN, without the
+    warning numpy would print for it."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.isfinite(values.sum(dtype=np.float64)))
 
 
 def _gten_parts(slices, n: int | None = None) -> Iterator:
@@ -95,11 +101,6 @@ def _gten_parts(slices, n: int | None = None) -> Iterator:
         yield _f4(piece)
     if count != n or n < 1:
         raise ContractError(f"{count} slices, expected {n} >= 1")
-
-
-def gten_bytes(array: np.ndarray) -> bytes:
-    """Encode one tensor as float32; see :func:`_gten_parts`."""
-    return b"".join(_gten_parts(array))
 
 
 def _slicing(dims: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -152,9 +153,7 @@ def _decode(raw: bytes, size: int, shape: tuple[int, ...]) -> np.ndarray:
     if len(raw) != size:
         raise DataFormatError("tensor file truncated inside values field")
     values = np.frombuffer(raw, dtype="<f4")
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value is, and it needs no mask of the values
-    if not np.isfinite(values.sum(dtype=np.float64)):
+    if not _finite_f4(values):
         raise DataFormatError("values field holds a NaN or infinite value")
     return values.astype(np.float64).reshape(shape)
 
@@ -168,12 +167,6 @@ def _fill(dims: tuple[int, ...], slices: Iterator[np.ndarray]) -> np.ndarray:
 def _read_tensor(fh, nbytes: int) -> np.ndarray:
     dims = _read_head(fh, nbytes)
     return _fill(dims, _read_slices(fh, dims))
-
-
-def gten_from_bytes(blob: bytes) -> np.ndarray:
-    """Decode one tensor blob; values come back as float64.  A malformed
-    blob, or one holding NaN or inf, raises :class:`DataFormatError`."""
-    return _read_tensor(io.BytesIO(blob), len(blob))
 
 
 @contextmanager

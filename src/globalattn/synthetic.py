@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (Field, field_keys, format_ints, load_kv_file,
-                     parse_fields, parse_float, parse_ints, parse_kv_text)
+                     parse_fields, parse_float, parse_ints)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
 from .seeding import SPLIT, TEMPLATES, mix_seed, rng_for
@@ -29,7 +29,6 @@ __all__ = [
     "split_indices",
     "split_train_test",
     "load_synthetic_spec",
-    "parse_synthetic_spec",
 ]
 
 
@@ -122,10 +121,19 @@ def generate_synthetic(spec: SyntheticSpec, indices: np.ndarray | None = None
     sx, sy = spec.region_slices
     labels = class_labels(spec, indices)
     images = np.empty((indices.size, spec.c, spec.w, spec.h))
-    for row, i in enumerate(indices.tolist()):
-        rng = np.random.default_rng(mix_seed(spec.seed, i))
-        images[row] = rng.standard_normal((spec.c, spec.w, spec.h)) * spec.noise_std
-        images[row][:, sx, sy] += spec.signal_strength * templates[labels[row]]
+    try:
+        # the spec's values are finite, so only an overflow makes an image
+        # non-finite
+        with np.errstate(over="raise"):
+            for row, i in enumerate(indices.tolist()):
+                rng = np.random.default_rng(mix_seed(spec.seed, i))
+                images[row] = (rng.standard_normal((spec.c, spec.w, spec.h))
+                               * spec.noise_std)
+                images[row][:, sx, sy] += (spec.signal_strength
+                                           * templates[labels[row]])
+    except FloatingPointError as exc:
+        raise ConfigError("signal_strength and noise_std overflow the "
+                          "images to infinity") from exc
     return ImageBatch(images, labels, spec.num_classes), relevance_mask(spec)
 
 
@@ -163,16 +171,11 @@ def split_train_test(batch: ImageBatch, train_fraction: float,
     return batch.subset(train_idx), batch.subset(test_idx)
 
 
-def parse_synthetic_spec(text: str) -> SyntheticSpec:
-    """Build a spec from flat ``key = value`` text; every key of
-    ``SyntheticSpec.FIELDS`` is required.
+def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
+    """Build a spec from the flat ``key = value`` file ``path``; every key
+    of ``SyntheticSpec.FIELDS`` is required.
 
     ``relevant_region`` is ``x0,y0,x1,y1`` (inclusive corners).
     """
-    kv = parse_kv_text(text, field_keys(SyntheticSpec.FIELDS))
-    return SyntheticSpec(**parse_fields(SyntheticSpec.FIELDS, kv, required=True))
-
-
-def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     kv = load_kv_file(path, field_keys(SyntheticSpec.FIELDS))
     return SyntheticSpec(**parse_fields(SyntheticSpec.FIELDS, kv, required=True))

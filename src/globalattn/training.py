@@ -27,7 +27,7 @@ from .attention import (AttentionModel, attention_forward,
 from .classifier import ClassifierModel, accuracy, classifier_forward, predict
 from .config import (Field, field_keys, format_bool, format_fields,
                      format_ints, load_kv_file, parse_bool, parse_fields,
-                     parse_float, parse_ints, parse_kv_text)
+                     parse_float, parse_ints)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError, DivergenceError
 from .optim import Adam
@@ -47,7 +47,6 @@ __all__ = [
     "run_protocol",
     "sweep",
     "sweep_csv_text",
-    "parse_train_config",
     "load_train_config",
 ]
 
@@ -421,14 +420,10 @@ def sweep_csv_text(rows: list[tuple[int, float, int, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_train_config(text: str) -> TrainConfig:
-    """Build a config from flat ``key = value`` text; absent keys keep
-    their defaults.  The keys are those of ``TrainConfig.FIELDS``."""
-    kv = parse_kv_text(text, field_keys(TrainConfig.FIELDS))
-    return TrainConfig(**parse_fields(TrainConfig.FIELDS, kv))
-
-
 def load_train_config(path: str | Path) -> TrainConfig:
+    """Build a config from the flat ``key = value`` file ``path``; absent
+    keys keep their defaults.  The keys are those of
+    ``TrainConfig.FIELDS``."""
     kv = load_kv_file(path, field_keys(TrainConfig.FIELDS))
     return TrainConfig(**parse_fields(TrainConfig.FIELDS, kv))
 

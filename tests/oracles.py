@@ -4,6 +4,8 @@ These stay deliberately naive (plain loops, no shared code with the
 library) so they can arbitrate when the fast paths are wrong.
 """
 
+import struct
+
 import numpy as np
 
 
@@ -67,3 +69,11 @@ def fnv1a64_reference(data):
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) % 2**64
     return h
+
+
+def gten_bytes_reference(array):
+    """A ``.gten`` file's bytes: ``GTEN``, a little-endian u32 rank and dims,
+    then the values as little-endian float32 in row-major order."""
+    array = np.asarray(array)
+    head = struct.pack(f"<{array.ndim + 1}I", array.ndim, *array.shape)
+    return b"GTEN" + head + array.astype("<f4").tobytes()

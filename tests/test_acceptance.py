@@ -35,9 +35,10 @@ def verdict(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_gradient_oracle():
     start = time.monotonic()
     result = full_pipeline_gradcheck(width=8, height=8, images=2, seed=0,
-                                     channels=4, h=1e-3, tolerance=1e-3)
+                                     channels=4)
     elapsed = time.monotonic() - start
-    ok = result.passed and result.h == 1e-3 and elapsed < 30.0
+    ok = (result.passed and result.h == 1e-3 and result.tolerance == 1e-3
+          and elapsed < 30.0)
     verdict(1, ok, f"max rel error {result.max_error:.2e} <= 1e-3 at h=1e-3 "
                    f"for every parameter, {elapsed:.1f}s < 30s")
 

@@ -14,7 +14,7 @@ from globalattn.cli import main
 from globalattn.config import load_kv_file
 from globalattn.datasets import load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
-from globalattn.synthetic import (generate_synthetic, parse_synthetic_spec,
+from globalattn.synthetic import (generate_synthetic, load_synthetic_spec,
                                   split_train_test)
 
 from oracles import fnv1a64_reference
@@ -104,7 +104,7 @@ def test_gen_writes_the_bytes_of_the_split_whole_set(tmp_path, edit):
     for old, new in edit.items():
         text = text.replace(old, new)
     out = run_gen(tmp_path, spec_text=text)
-    spec = parse_synthetic_spec(text)
+    spec = load_synthetic_spec(tmp_path / "synth.cfg")
     batch, mask = generate_synthetic(spec)
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -448,9 +448,12 @@ def test_sweep_parallel_divergence_exits_4_naming_the_epoch(tmp_path, capsys):
 
 
 def nan_pixel(data):
-    images = read_gten(data / "train.gten")
-    images[0, 0, 0, 0] = np.nan
-    write_gten(data / "train.gten", images)
+    # the writer refuses NaN, so it goes in by hand, as the first value
+    # after the train tensor's rank-4 header
+    path = data / "train.gten"
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 24, float("nan"))
+    path.write_bytes(bytes(raw))
 
 
 def non_utf8_labels(data):
@@ -522,6 +525,29 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, setting):
                 "--data", str(run_gen(tmp_path)), "--out", out + ".csv"]
     assert main([command, *args]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_gen_signal_that_overflows_exits_2_with_one_line(tmp_path, capsys):
+    args = gen_args(tmp_path, with_setting(SYNTH_SPEC, "signal_strength = 1e308"))
+    assert main(["gen", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "signal_strength" in err, err
+
+
+def test_preprocess_stats_that_overflow_exit_2_before_any_write(tmp_path, capsys):
+    # the train split is all zeros, which the stats keep at zero, so only
+    # the test split overflows, and it is processed after train
+    data = tmp_path / "data"
+    data.mkdir()
+    save_dataset(data / "train", np.zeros((2, 1, 4, 4)), [0, 1], 2)
+    save_dataset(data / "test", np.ones((2, 1, 4, 4)), [0, 1], 2)
+    spec = write(tmp_path / "pre.cfg", "channel_stats = 0.0:1e-320\n")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--spec", spec, "--in", str(data),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "channel_stats" in err, err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +807,20 @@ def a_directory(tmp_path):
     return str(path)
 
 
+def replaced(args, flag, path):
+    """``args`` with the value after ``flag`` replaced by ``path``."""
+    i = args.index(flag) + 1
+    return [*args[:i], path, *args[i + 1:]]
+
+
+def as_directory(name):
+    """A damage that makes the dataset file ``name`` a directory."""
+    def damage(data):
+        (data / name).unlink()
+        (data / name).mkdir()
+    return damage
+
+
 # (command, exit code, tmp_path -> arguments with one path of the wrong kind)
 PATH_ERRORS = [
     ("train", 3, lambda t: train_args(t)[:3] + [a_file(t), "--out", str(t / "o")]),
@@ -791,6 +831,18 @@ PATH_ERRORS = [
     ("sweep", 3, lambda t: sweep_args(t)[:5] + [a_file(t), "--out", str(t / "o.csv")]),
     ("sweep", 2, lambda t: sweep_args(t)[:7] + [a_directory(t)]),
     ("sweep", 2, lambda t: sweep_args(t)[:7] + [a_file(t) + "/out.csv"]),
+    ("train", 2, lambda t: replaced(train_args(t), "--config", a_directory(t))),
+    ("gen", 2, lambda t: replaced(gen_args(t), "--spec", a_directory(t))),
+    ("preprocess", 2,
+     lambda t: replaced(preprocess_args(t), "--spec", a_directory(t))),
+    ("sweep", 2, lambda t: replaced(sweep_args(t), "--config", a_directory(t))),
+    ("sweep", 2, lambda t: replaced(sweep_args(t), "--grid", a_directory(t))),
+    ("train", 3, lambda t: train_args(t, damage=as_directory("train.meta"))),
+    ("train", 3,
+     lambda t: train_args(t, damage=as_directory("train.labels.csv"))),
+    ("train", 3, lambda t: train_args(t, damage=as_directory("train.gten"))),
+    ("preprocess", 3,
+     lambda t: preprocess_args(t, damage=as_directory("train.gten"))),
 ]
 
 
@@ -798,7 +850,11 @@ PATH_ERRORS = [
                          ids=["train-data-file", "train-out-file", "gen-out-file",
                               "preprocess-out-file", "preprocess-in-file",
                               "sweep-data-file", "sweep-out-dir",
-                              "sweep-out-under-file"])
+                              "sweep-out-under-file", "train-config-dir",
+                              "gen-spec-dir", "preprocess-spec-dir",
+                              "sweep-config-dir", "sweep-grid-dir",
+                              "train-meta-dir", "train-labels-dir",
+                              "train-gten-dir", "preprocess-gten-dir"])
 def test_path_of_the_wrong_kind_exits_with_one_line(tmp_path, capsys, command,
                                                       code, args):
     assert main([command, *args(tmp_path)]) == code

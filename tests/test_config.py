@@ -9,7 +9,7 @@ from globalattn.classifier import ClassifierModel
 from globalattn.config import format_fields, format_kv, parse_fields
 from globalattn.preprocess import PreprocessSpec
 from globalattn.synthetic import SyntheticSpec
-from globalattn.training import TrainConfig, config_kv, parse_train_config
+from globalattn.training import TrainConfig, config_kv, load_train_config
 
 NON_DEFAULT_CFG = TrainConfig(
     channels=5, l1_coeff=0.125, cutoff_epoch=3, lr=0.01, batch_size=4,
@@ -36,8 +36,10 @@ def test_non_default_config_changes_every_field():
 
 @pytest.mark.parametrize("cfg", [TrainConfig(), NON_DEFAULT_CFG],
                          ids=["default", "non_default"])
-def test_train_config_format_parse_roundtrip(cfg):
-    assert parse_train_config(format_kv(config_kv(cfg))) == cfg
+def test_train_config_format_parse_roundtrip(tmp_path, cfg):
+    path = tmp_path / "train.cfg"
+    path.write_text(format_kv(config_kv(cfg)))
+    assert load_train_config(path) == cfg
 
 
 @pytest.mark.parametrize("model", [

@@ -5,8 +5,8 @@ from globalattn.datasets import ImageBatch
 from globalattn.errors import ConfigError, ContractError
 from globalattn.preprocess import (PreprocessSpec, _overlap_matrix,
                                    apply_pipeline, crop_columns, hflip, load_flip_indices,
-                                   normalize_standardize, packaged_flip_list,
-                                   parse_preprocess_spec, resize_area)
+                                   load_preprocess_spec, normalize_standardize,
+                                   packaged_flip_list, resize_area)
 
 IDRID_STATS = ((0.485, 0.229), (0.456, 0.224), (0.406, 0.225))
 
@@ -165,6 +165,13 @@ def test_standardization_rejects_bad_stats():
         normalize_standardize(img, ((0.5, 1.0),))  # one entry for 2 channels
 
 
+def test_stats_that_overflow_a_channel_are_a_config_error():
+    # a positive, finite std whose quotient passes the float64 range
+    img = np.full((2, 2, 2), 255.0)
+    with pytest.raises(ConfigError, match="overflows channel 1"):
+        normalize_standardize(img, ((0.0, 1.0), (0.5, 1e-320)))
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -214,37 +221,42 @@ def test_pipeline_flip_index_out_of_range():
 # spec files and flip lists
 # ---------------------------------------------------------------------------
 
+def load_spec_text(tmp_path, text):
+    path = tmp_path / "pre.cfg"
+    path.write_text(text)
+    return load_preprocess_spec(path)
+
+
 def test_parse_spec_with_all_stages(tmp_path):
-    flips = tmp_path / "flips.txt"
-    flips.write_text("0\n2\n")
+    (tmp_path / "flips.txt").write_text("0\n2\n")
     text = (
         "crop_left = 260\n"
         "crop_right = 3685\n"
         "target_size = 224x224\n"
-        f"flip_indices = {flips}\n"
+        "flip_indices = flips.txt\n"
         "channel_stats = 0.485:0.229,0.456:0.224,0.406:0.225\n")
-    spec = parse_preprocess_spec(text)
+    spec = load_spec_text(tmp_path, text)
     assert spec.crop_left == 260 and spec.crop_right == 3685
     assert spec.target_size == (224, 224)
     assert spec.flip_indices == frozenset({0, 2})
     assert spec.channel_stats == IDRID_STATS
 
 
-def test_parse_spec_empty_values_skip_stages():
-    spec = parse_preprocess_spec(
-        "crop_left =\ncrop_right =\ntarget_size =\n"
-        "flip_indices =\nchannel_stats =\n")
+def test_parse_spec_empty_values_skip_stages(tmp_path):
+    spec = load_spec_text(
+        tmp_path, "crop_left =\ncrop_right =\ntarget_size =\n"
+                  "flip_indices =\nchannel_stats =\n")
     assert spec == PreprocessSpec()
 
 
-def test_parse_spec_unknown_key_rejected():
+def test_parse_spec_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_preprocess_spec("crop_lft = 3\n")
+        load_spec_text(tmp_path, "crop_lft = 3\n")
 
 
-def test_parse_spec_crop_must_come_in_pairs():
+def test_parse_spec_crop_must_come_in_pairs(tmp_path):
     with pytest.raises(ConfigError):
-        parse_preprocess_spec("crop_left = 3\n")
+        load_spec_text(tmp_path, "crop_left = 3\n")
 
 
 def test_packaged_flip_lists_load():

@@ -14,12 +14,11 @@ from globalattn.classifier import ClassifierModel
 from globalattn.datasets import ImageBatch, load_dataset, save_dataset
 from globalattn.errors import ContractError, DataFormatError
 from globalattn.manifest import RunManifest, checksum_file
-from globalattn.serialize import (gten_bytes, gten_from_bytes,
-                                  load_model_checkpoint, read_checkpoint,
+from globalattn.serialize import (load_model_checkpoint, read_checkpoint,
                                   read_gten, save_model_checkpoint,
                                   write_checkpoint, write_gten)
 
-from oracles import fnv1a64_reference
+from oracles import fnv1a64_reference, gten_bytes_reference
 
 
 def test_gten_roundtrip_bitwise(tmp_path):
@@ -31,13 +30,15 @@ def test_gten_roundtrip_bitwise(tmp_path):
     assert back.shape == arr.shape
     assert np.array_equal(back, arr)
     # second save of the loaded tensor produces identical bytes
-    assert gten_bytes(back) == path.read_bytes()
+    write_gten(tmp_path / "again.gten", back)
+    assert (tmp_path / "again.gten").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("value", [1e39, -1e39])
-def test_gten_refuses_values_beyond_float32_range(value):
+# a file the writer made must load, so what the reader refuses is refused
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf, -np.inf])
+def test_gten_refuses_values_beyond_float32_range(tmp_path, value):
     with pytest.raises(DataFormatError, match="float32 range"):
-        gten_bytes(np.array([1.0, value]))
+        write_gten(tmp_path / "t.gten", np.array([1.0, value]))
 
 
 @pytest.mark.parametrize("arr", [
@@ -49,7 +50,7 @@ def test_gten_refuses_values_beyond_float32_range(value):
 def test_write_gten_writes_the_bytes_of_gten_bytes(tmp_path, arr):
     path = tmp_path / "t.gten"
     write_gten(path, arr)
-    assert path.read_bytes() == gten_bytes(arr)
+    assert path.read_bytes() == gten_bytes_reference(arr)
 
 
 def test_write_gten_refusing_a_value_writes_no_file(tmp_path):
@@ -335,16 +336,18 @@ def test_checkpoint_refusing_a_tensor_writes_no_file(tmp_path):
     assert not path.exists()
 
 
-def test_gten_scalar_rank_zero():
-    arr = np.asarray(3.5)
-    back = gten_from_bytes(gten_bytes(arr))
+def test_gten_scalar_rank_zero(tmp_path):
+    path = tmp_path / "t.gten"
+    write_gten(path, np.asarray(3.5))
+    back = read_gten(path)
     assert back.shape == ()
     assert back == 3.5
 
 
-def test_gten_layout_is_little_endian_f32_row_major():
-    arr = np.arange(6.0).reshape(2, 3)
-    blob = gten_bytes(arr)
+def test_gten_layout_is_little_endian_f32_row_major(tmp_path):
+    path = tmp_path / "t.gten"
+    write_gten(path, np.arange(6.0).reshape(2, 3))
+    blob = path.read_bytes()
     assert blob[:4] == b"GTEN"
     assert int.from_bytes(blob[4:8], "little") == 2
     assert int.from_bytes(blob[8:12], "little") == 2
@@ -353,18 +356,28 @@ def test_gten_layout_is_little_endian_f32_row_major():
     assert np.array_equal(values, np.arange(6.0, dtype=np.float32))
 
 
-def test_gten_bad_magic():
-    blob = b"XTEN" + gten_bytes(np.zeros(3))[4:]
+def test_gten_bad_magic(tmp_path):
+    path = tmp_path / "t.gten"
+    path.write_bytes(b"XTEN" + gten_bytes_reference(np.zeros(3))[4:])
     with pytest.raises(DataFormatError, match="magic"):
-        gten_from_bytes(blob)
+        read_gten(path)
 
 
-def test_gten_truncated():
-    blob = gten_bytes(np.zeros((2, 2)))
-    with pytest.raises(DataFormatError):
-        gten_from_bytes(blob[:-3])
-    with pytest.raises(DataFormatError):
-        gten_from_bytes(blob[:6])
+def test_gten_holding_inf_and_minus_inf_is_refused_without_a_warning(tmp_path):
+    # their float64 sum is NaN, which the reader refuses quietly
+    path = tmp_path / "t.gten"
+    path.write_bytes(gten_bytes_reference(np.array([np.inf, -np.inf])))
+    with pytest.raises(DataFormatError, match="NaN or infinite"):
+        read_gten(path)
+
+
+def test_gten_truncated(tmp_path):
+    blob = gten_bytes_reference(np.zeros((2, 2)))
+    path = tmp_path / "t.gten"
+    for cut in (blob[:-3], blob[:6]):
+        path.write_bytes(cut)
+        with pytest.raises(DataFormatError):
+            read_gten(path)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -422,10 +435,16 @@ def test_checkpoint_size_below_one_is_format_error(tmp_path, cls, key, value):
 @pytest.mark.parametrize("cls", [AttentionModel, ClassifierModel],
                          ids=lambda cls: cls.KIND)
 def test_checkpoint_non_finite_tensor_is_format_error(tmp_path, cls, value):
-    model = MODELS[cls]()
-    model.params[0].data.flat[0] = value
     path = tmp_path / "model.ckpt"
-    save_model_checkpoint(model, path)
+    save_model_checkpoint(MODELS[cls](), path)
+    # the writer refuses a non-finite value, so put one into the first
+    # tensor's first value by hand
+    blob = bytearray(path.read_bytes())
+    (head_len,) = struct.unpack_from("<I", blob)
+    tensor = 4 + head_len + 4   # past the header and the length prefix
+    (rank,) = struct.unpack_from("<I", blob, tensor + 4)
+    struct.pack_into("<f", blob, tensor + 8 + 4 * rank, value)
+    path.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="NaN or infinite"):
         load_model_checkpoint(cls, path)
 

@@ -3,7 +3,7 @@ import pytest
 
 from globalattn.errors import ConfigError, ContractError
 from globalattn.synthetic import (SyntheticSpec, generate_synthetic,
-                                  parse_synthetic_spec, split_train_test)
+                                  load_synthetic_spec, split_train_test)
 
 
 def make_spec(**kw):
@@ -120,6 +120,12 @@ def test_drawing_indices_equals_subsetting_the_whole_set(pick):
     assert part_mask.tobytes() == mask.tobytes()
 
 
+@pytest.mark.parametrize("field", ["signal_strength", "noise_std"])
+def test_a_spec_that_overflows_the_images_is_a_config_error(field):
+    with pytest.raises(ConfigError, match="overflow"):
+        generate_synthetic(make_spec(**{field: 1e308}))
+
+
 @pytest.mark.parametrize("idx", [[-1], [12], [[0, 1]], [0.0], [True]],
                          ids=["negative", "n", "2-d", "float", "bool"])
 def test_drawing_an_index_outside_the_set_is_refused(idx):
@@ -127,20 +133,27 @@ def test_drawing_an_index_outside_the_set_is_refused(idx):
         generate_synthetic(make_spec(), np.array(idx))
 
 
-def test_parse_spec_roundtrip():
+def load_spec_text(tmp_path, text):
+    path = tmp_path / "synth.cfg"
+    path.write_text(text)
+    return load_synthetic_spec(path)
+
+
+def test_parse_spec_roundtrip(tmp_path):
     text = ("N = 12\nC = 1\nW = 8\nH = 8\nrelevant_region = 2,2,5,5\n"
             "num_classes = 3\nsignal_strength = 2.0\nnoise_std = 1.0\n"
             "seed = 0\n")
-    assert parse_synthetic_spec(text) == make_spec()
+    assert load_spec_text(tmp_path, text) == make_spec()
 
 
-def test_parse_spec_missing_key():
+def test_parse_spec_missing_key(tmp_path):
     with pytest.raises(ConfigError, match="missing"):
-        parse_synthetic_spec("N = 12\n")
+        load_spec_text(tmp_path, "N = 12\n")
 
 
-def test_parse_spec_bad_region():
+def test_parse_spec_bad_region(tmp_path):
     with pytest.raises(ConfigError):
-        parse_synthetic_spec(
+        load_spec_text(
+            tmp_path,
             "N = 4\nC = 1\nW = 8\nH = 8\nrelevant_region = 2,2\n"
             "num_classes = 3\nsignal_strength = 1\nnoise_std = 1\nseed = 0\n")

@@ -20,9 +20,8 @@ from globalattn.seeding import CLASSIFIER_INIT, SHUFFLE, rng_for
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.tensor import GradientTape, Tensor, backward, softmax_cross_entropy
 from globalattn.training import (TrainConfig, compute_cost, evaluate_at_epochs,
-                                 load_train_config, parse_train_config,
-                                 rank_epochs, run_protocol, select_epochs_cv,
-                                 sweep, sweep_csv_text, train)
+                                 load_train_config, rank_epochs, run_protocol,
+                                 select_epochs_cv, sweep, sweep_csv_text, train)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -466,25 +465,29 @@ def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def test_parse_train_config_full():
-    text = ("K = 16\nlambda = 0.1\nE = 3\nlr = 0.01\nbatch_size = 4\n"
-            "weight_decay = 0\ntotal_epochs = 9\nseed = 7\n"
-            "attention_mode = l1_pixel_weights\n"
-            "eval_protocol = cv_epoch_selection\ncv_folds = 3\n"
-            "top_epochs = 2\nhidden_kernel = 5\ndepth = 3\nlast_kernel = 3\n"
-            "dense_connections = true\nstages = 4,8\n")
-    cfg = parse_train_config(text)
+def test_parse_train_config_full(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text(
+        "K = 16\nlambda = 0.1\nE = 3\nlr = 0.01\nbatch_size = 4\n"
+        "weight_decay = 0\ntotal_epochs = 9\nseed = 7\n"
+        "attention_mode = l1_pixel_weights\n"
+        "eval_protocol = cv_epoch_selection\ncv_folds = 3\n"
+        "top_epochs = 2\nhidden_kernel = 5\ndepth = 3\nlast_kernel = 3\n"
+        "dense_connections = true\nstages = 4,8\n")
+    cfg = load_train_config(path)
     assert cfg.channels == 16 and cfg.l1_coeff == 0.1 and cfg.cutoff_epoch == 3
     assert cfg.attention_mode == "l1_pixel_weights"
     assert cfg.dense_connections and cfg.stages == (4, 8)
     assert cfg.eval_protocol == "cv_epoch_selection"
 
 
-def test_parse_train_config_defaults_and_unknown_keys():
-    cfg = parse_train_config("")
-    assert cfg == TrainConfig()
+def test_parse_train_config_defaults_and_unknown_keys(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("")
+    assert load_train_config(path) == TrainConfig()
+    path.write_text("lamda = 0.1\n")
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_train_config("lamda = 0.1\n")
+        load_train_config(path)
 
 
 def test_config_validation():
