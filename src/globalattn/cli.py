@@ -3,8 +3,9 @@
 Subcommands: ``gen`` (synthetic dataset), ``preprocess``, ``train``,
 ``gradcheck``, ``sweep``.  Exit codes are stable: 0 success, 2
 configuration error, 3 data-format error, 4 numerical divergence (the
-failing epoch is printed).  A ``gradcheck`` that runs but exceeds its
-tolerance exits 1.  Every command writes a run manifest into its output
+failing epoch is printed), 5 any other I/O error, such as an output that
+cannot be written.  A ``gradcheck`` that runs but exceeds its tolerance
+exits 1.  Every command writes a run manifest into its output
 directory.
 """
 
@@ -33,6 +34,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+EXIT_IO = 5
 
 
 def _out_dir(path: Path) -> Path:
@@ -58,11 +60,10 @@ def _draws(spec, indices):
 
 
 def _cmd_gen(args) -> int:
-    spec = load_synthetic_spec(args.spec)
+    spec, spec_kv = load_synthetic_spec(args.spec)
     splits = split_indices(spec.n, 0.8, spec.seed)
     out = _out_dir(Path(args.out))
-    manifest = RunManifest(out / "manifest.txt", "gen",
-                           load_kv_file(args.spec), spec.seed)
+    manifest = RunManifest(out / "manifest.txt", "gen", spec_kv, spec.seed)
     for stem, indices in zip(("train", "test"), splits):
         manifest.add_artifacts(save_dataset(
             out / stem, _draws(spec, indices), class_labels(spec, indices),
@@ -75,7 +76,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    spec = load_preprocess_spec(args.spec)
+    spec, spec_kv = load_preprocess_spec(args.spec)
     in_dir, out = Path(args.in_dir), _out_dir(Path(args.out))
     stems = [s for s in ("train", "test")
              if (in_dir / f"{s}.gten").exists()]
@@ -88,8 +89,7 @@ def _cmd_preprocess(args) -> int:
     for stem in stems:
         _, images, labels, num_classes = open_dataset(in_dir / stem)
         processed.append((apply_pipeline(spec, images), labels, num_classes))
-    manifest = RunManifest(out / "manifest.txt", "preprocess",
-                           load_kv_file(args.spec), None)
+    manifest = RunManifest(out / "manifest.txt", "preprocess", spec_kv, None)
     for stem, (images, labels, num_classes) in zip(stems, processed):
         manifest.add_artifacts(
             save_dataset(out / stem, images, labels, num_classes))
@@ -231,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def entry() -> None:  # console-script shim

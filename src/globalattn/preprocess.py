@@ -212,8 +212,11 @@ def packaged_flip_list(name: str) -> Path:
     return path
 
 
-def load_preprocess_spec(path: str | Path) -> PreprocessSpec:
-    """Build a spec from the flat ``key = value`` file ``path``.
+def load_preprocess_spec(path: str | Path
+                         ) -> tuple[PreprocessSpec, dict[str, str]]:
+    """Build a spec from the flat ``key = value`` file ``path``.  The file
+    is read once, and the key-value map the spec was built from is returned
+    with it, as written, for the run manifest.
 
     Empty values skip a stage.  ``target_size`` is ``WxH``;
     ``channel_stats`` is comma-separated ``mean:std`` pairs;
@@ -221,7 +224,7 @@ def load_preprocess_spec(path: str | Path) -> PreprocessSpec:
     newline-separated index list.
     """
     kv = load_kv_file(path, field_keys(PreprocessSpec.FIELDS))
-    kv = {key: value for key, value in kv.items() if value}
-    if "flip_indices" in kv:
-        kv["flip_indices"] = str(Path(path).parent / kv["flip_indices"])
-    return PreprocessSpec(**parse_fields(PreprocessSpec.FIELDS, kv))
+    values = {key: value for key, value in kv.items() if value}
+    if "flip_indices" in values:
+        values["flip_indices"] = str(Path(path).parent / values["flip_indices"])
+    return PreprocessSpec(**parse_fields(PreprocessSpec.FIELDS, values)), kv

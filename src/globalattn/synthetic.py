@@ -127,8 +127,10 @@ def generate_synthetic(spec: SyntheticSpec, indices: np.ndarray | None = None
         with np.errstate(over="raise"):
             for row, i in enumerate(indices.tolist()):
                 rng = np.random.default_rng(mix_seed(spec.seed, i))
-                images[row] = (rng.standard_normal((spec.c, spec.w, spec.h))
-                               * spec.noise_std)
+                # drawn and scaled in the row itself, so no image-sized
+                # temporary is made
+                rng.standard_normal(out=images[row])
+                images[row] *= spec.noise_std
                 images[row][:, sx, sy] += (spec.signal_strength
                                            * templates[labels[row]])
     except FloatingPointError as exc:
@@ -171,11 +173,15 @@ def split_train_test(batch: ImageBatch, train_fraction: float,
     return batch.subset(train_idx), batch.subset(test_idx)
 
 
-def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
+def load_synthetic_spec(path: str | Path
+                        ) -> tuple[SyntheticSpec, dict[str, str]]:
     """Build a spec from the flat ``key = value`` file ``path``; every key
-    of ``SyntheticSpec.FIELDS`` is required.
+    of ``SyntheticSpec.FIELDS`` is required.  The file is read once, and
+    the key-value map the spec was built from is returned with it, for the
+    run manifest.
 
     ``relevant_region`` is ``x0,y0,x1,y1`` (inclusive corners).
     """
     kv = load_kv_file(path, field_keys(SyntheticSpec.FIELDS))
-    return SyntheticSpec(**parse_fields(SyntheticSpec.FIELDS, kv, required=True))
+    fields = parse_fields(SyntheticSpec.FIELDS, kv, required=True)
+    return SyntheticSpec(**fields), kv

@@ -224,10 +224,13 @@ def _heap_policy_for_run():
     block the mmap and trim thresholds are 32 and 64 MB, the most glibc's
     own policy adapts to.  On exit, also by an exception, both go back to
     glibc's starting 128 KiB and ``malloc_trim(0)`` returns the free heap
-    to the OS.  glibc has no getter for these values, so a caller's own
-    ``mallopt`` settings are not restored, and glibc stops adapting the
-    thresholds once they are set.  A C library without ``mallopt`` and
-    ``malloc_trim`` keeps its default.
+    to the OS.  The trim hands back only what is already freed, so by then
+    the block should hold no array of the run: :func:`train` runs its
+    epochs in a helper whose frame is gone, on return and on divergence,
+    before the block ends.  glibc has no getter for these values, so a
+    caller's own ``mallopt`` settings are not restored, and glibc stops
+    adapting the thresholds once they are set.  A C library without
+    ``mallopt`` and ``malloc_trim`` keeps its default.
     """
     try:
         libc = ctypes.CDLL(None)
@@ -257,61 +260,76 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
     :class:`DivergenceError` with the epoch index if the loss goes
     non-finite.  On glibc the steps reuse each other's freed arrays, and
     the call returns, or raises, with glibc's starting heap thresholds
-    and its free heap handed back to the OS (see
-    :func:`_heap_policy_for_run`).
+    and its free heap handed back to the OS, after the run has freed every
+    array but the report's (see :func:`_heap_policy_for_run`).
     """
     _check_compatible(train_set, test_set)
     with _heap_policy_for_run():
-        attention, classifier, p = build_models(train_set, cfg)
-        opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
-        opt_m = Adam(attention.params, cfg.lr) if attention.params else None
-        shuffle_rng = rng_for(cfg.seed, SHUFFLE)
+        outcome = _run_schedule(train_set, test_set, cfg)
+    if isinstance(outcome, int):
+        raise DivergenceError(outcome)
+    return outcome
 
-        def current_map() -> np.ndarray:
-            return attention_forward(attention, p).data
 
-        map_now = current_map()
-        snapshots = {0: map_now.copy()}
-        rows: list[EpochRow] = []
-        for epoch in range(1, cfg.total_epochs + 1):
-            joint = epoch <= cfg.cutoff_epoch and opt_m is not None
-            # after the last joint epoch the map no longer changes
-            frozen_map = None if joint else Tensor(map_now)
-            order = shuffle_rng.permutation(train_set.n)
-            loss_sum = 0.0
-            for start in range(0, train_set.n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                xb = Tensor(train_set.images[idx])
-                yb = train_set.labels[idx]
-                # a diverging step overflows; the finite-loss check reports it
-                with (np.errstate(over="ignore", invalid="ignore",
-                                  divide="ignore"),
-                      GradientTape() as tape):
-                    cost = compute_cost(xb, yb, attention, classifier, p,
-                                        cfg.l1_coeff, weight_map=frozen_map)
-                    if not np.isfinite(cost.data).all():
-                        raise DivergenceError(epoch)
-                    backward(cost, tape)
-                opt_f.step()
-                if joint:
-                    opt_m.step()
-                tape.clear()
-                loss_sum += cost.item() * len(idx)
+def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
+                  cfg: TrainConfig) -> TrainReport | int:
+    """The epochs of :func:`train`: its report, or the epoch whose loss went
+    non-finite.
+
+    The run's batches, tape, optimizer state and pixel representation live
+    in this frame, so they are freed when it returns.  The epoch is returned,
+    not raised, because a raised error's traceback would keep the frame and
+    its arrays alive past the heap policy's hand-back.
+    """
+    attention, classifier, p = build_models(train_set, cfg)
+    opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
+    opt_m = Adam(attention.params, cfg.lr) if attention.params else None
+    shuffle_rng = rng_for(cfg.seed, SHUFFLE)
+
+    def current_map() -> np.ndarray:
+        return attention_forward(attention, p).data
+
+    map_now = current_map()
+    snapshots = {0: map_now.copy()}
+    rows: list[EpochRow] = []
+    for epoch in range(1, cfg.total_epochs + 1):
+        joint = epoch <= cfg.cutoff_epoch and opt_m is not None
+        # after the last joint epoch the map no longer changes
+        frozen_map = None if joint else Tensor(map_now)
+        order = shuffle_rng.permutation(train_set.n)
+        loss_sum = 0.0
+        for start in range(0, train_set.n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb = Tensor(train_set.images[idx])
+            yb = train_set.labels[idx]
+            # a diverging step overflows; the finite-loss check reports it
+            with (np.errstate(over="ignore", invalid="ignore",
+                              divide="ignore"),
+                  GradientTape() as tape):
+                cost = compute_cost(xb, yb, attention, classifier, p,
+                                    cfg.l1_coeff, weight_map=frozen_map)
+                if not np.isfinite(cost.data).all():
+                    return epoch
+                backward(cost, tape)
+            opt_f.step()
             if joint:
-                map_now = current_map()
-            rows.append(EpochRow(
-                epoch=epoch,
-                train_loss=loss_sum / train_set.n,
-                train_acc=_eval_accuracy(classifier, map_now, train_set,
-                                         cfg.batch_size),
-                test_acc=_eval_accuracy(classifier, map_now, test_set,
-                                        cfg.batch_size),
-                l1_penalty=float(
-                    attention_l1_penalty(attention, Tensor(map_now)).data)))
-            if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
-                snapshots[epoch] = map_now.copy()
-        return TrainReport(rows, snapshots,
-                           final_models=(attention, classifier))
+                opt_m.step()
+            tape.clear()
+            loss_sum += cost.item() * len(idx)
+        if joint:
+            map_now = current_map()
+        rows.append(EpochRow(
+            epoch=epoch,
+            train_loss=loss_sum / train_set.n,
+            train_acc=_eval_accuracy(classifier, map_now, train_set,
+                                     cfg.batch_size),
+            test_acc=_eval_accuracy(classifier, map_now, test_set,
+                                    cfg.batch_size),
+            l1_penalty=float(
+                attention_l1_penalty(attention, Tensor(map_now)).data)))
+        if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
+            snapshots[epoch] = map_now.copy()
+    return TrainReport(rows, snapshots, final_models=(attention, classifier))
 
 
 def rank_epochs(mean_accuracy, top: int) -> list[int]:

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import struct
@@ -11,7 +12,7 @@ import pytest
 
 from globalattn import cli, manifest
 from globalattn.cli import main
-from globalattn.config import load_kv_file
+from globalattn.config import load_kv_file, parse_kv_text
 from globalattn.datasets import load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
 from globalattn.synthetic import (generate_synthetic, load_synthetic_spec,
@@ -104,7 +105,7 @@ def test_gen_writes_the_bytes_of_the_split_whole_set(tmp_path, edit):
     for old, new in edit.items():
         text = text.replace(old, new)
     out = run_gen(tmp_path, spec_text=text)
-    spec = load_synthetic_spec(tmp_path / "synth.cfg")
+    spec, _ = load_synthetic_spec(tmp_path / "synth.cfg")
     batch, mask = generate_synthetic(spec)
     ref = tmp_path / "ref"
     ref.mkdir()
@@ -289,6 +290,36 @@ def test_preprocess_rerun_determinism(tmp_path):
     assert main(["preprocess", "--spec", spec, "--in", str(out), "--out", str(a)]) == 0
     assert main(["preprocess", "--spec", spec, "--in", str(out), "--out", str(b)]) == 0
     assert (a / "train.gten").read_bytes() == (b / "train.gten").read_bytes()
+
+
+def test_each_spec_file_is_read_once_per_command(tmp_path, monkeypatch):
+    # a spec read twice could be edited in between, and the manifest would
+    # record values the run did not use
+    reads = []
+    real_read_text = Path.read_text
+
+    def spy(path, *args, **kwargs):
+        reads.append(path.name)
+        return real_read_text(path, *args, **kwargs)
+
+    specs = tmp_path / "specs"
+    specs.mkdir()
+    write(specs / "flips.txt", "1\n")
+    pre_text = ("crop_left =\ncrop_right =\ntarget_size = 4x4\n"
+                "flip_indices = flips.txt\nchannel_stats =\n")
+    pre = write(specs / "pre.cfg", pre_text)
+    synth = write(specs / "synth.cfg", SYNTH_SPEC)
+    monkeypatch.setattr(Path, "read_text", spy)
+    raw, out = tmp_path / "raw", tmp_path / "out"
+    assert main(["gen", "--spec", synth, "--out", str(raw)]) == 0
+    assert main(["preprocess", "--spec", pre, "--in", str(raw),
+                 "--out", str(out)]) == 0
+    assert reads.count("synth.cfg") == 1 and reads.count("pre.cfg") == 1
+    for directory, text in ((raw, SYNTH_SPEC), (out, pre_text)):
+        recorded = {k[len("config."):]: v
+                    for k, v in load_kv_file(directory / "manifest.txt").items()
+                    if k.startswith("config.")}
+        assert recorded == parse_kv_text(text)
 
 
 def test_preprocess_malformed_input_exits_3(tmp_path, capsys):
@@ -687,7 +718,8 @@ def test_no_command_reads_an_artifact_back_to_checksum_it(tmp_path, monkeypatch)
     assert calls == []
 
 
-def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch,
+                                                capsys):
     data = run_gen(tmp_path)
     out = tmp_path / "run"
     argv = ["train", "--config", write(tmp_path / "train.cfg", TRAIN_CFG),
@@ -695,13 +727,10 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     assert main(argv) == 0
     first_report = (out / "report.csv").read_bytes()
 
-    def disk_full(model, path):
-        raise OSError("disk full")
-
     monkeypatch.setattr(cli, "save_model_checkpoint", disk_full)
     write(tmp_path / "train.cfg", TRAIN_CFG.replace("seed = 3", "seed = 4"))
-    with pytest.raises(OSError, match="disk full"):
-        main(argv)
+    assert main(argv) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 28]")
     # the rerun rewrote report.csv and the maps before it failed, so the
     # first run's manifest would list checksums they no longer have
     assert (out / "report.csv").read_bytes() != first_report
@@ -757,6 +786,10 @@ def sweep_args(tmp_path, cfg_text=TRAIN_CFG,
             "--out", str(tmp_path / "out.csv")]
 
 
+def disk_full(src, dst):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+
+
 # (command, documented exit code, tmp_path -> arguments that produce it)
 EXIT_CODES = [
     ("gen", 0, gen_args),
@@ -776,6 +809,11 @@ EXIT_CODES = [
     ("sweep", 2, lambda t: [*sweep_args(t), "--jobs", "0"]),
     ("sweep", 3, lambda t: sweep_args(t, damage=nan_pixel)),
     ("sweep", 4, lambda t: sweep_args(t, TRAIN_CFG + "lr = 1e200\n")),
+    # exit 5 is a write that fails: these rows run with a full disk
+    ("gen", 5, gen_args),
+    ("preprocess", 5, preprocess_args),
+    ("train", 5, train_args),
+    ("sweep", 5, sweep_args),
 ]
 
 
@@ -791,8 +829,15 @@ def exit_code_ids(rows):
 
 @pytest.mark.parametrize("command, code, args", EXIT_CODES,
                          ids=exit_code_ids(EXIT_CODES))
-def test_documented_exit_code(tmp_path, command, code, args):
-    assert main([command, *args(tmp_path)]) == code
+def test_documented_exit_code(tmp_path, monkeypatch, capsys, command, code,
+                              args):
+    argv = [command, *args(tmp_path)]
+    if code == cli.EXIT_IO:
+        monkeypatch.setattr(os, "replace", disk_full)
+    assert main(argv) == code
+    assert not list(tmp_path.rglob("*.tmp"))
+    if code == cli.EXIT_IO:
+        assert capsys.readouterr().err.startswith("I/O error: [Errno 28]")
 
 
 def a_file(tmp_path):

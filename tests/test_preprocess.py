@@ -224,7 +224,7 @@ def test_pipeline_flip_index_out_of_range():
 def load_spec_text(tmp_path, text):
     path = tmp_path / "pre.cfg"
     path.write_text(text)
-    return load_preprocess_spec(path)
+    return load_preprocess_spec(path)[0]
 
 
 def test_parse_spec_with_all_stages(tmp_path):

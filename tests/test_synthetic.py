@@ -136,7 +136,7 @@ def test_drawing_an_index_outside_the_set_is_refused(idx):
 def load_spec_text(tmp_path, text):
     path = tmp_path / "synth.cfg"
     path.write_text(text)
-    return load_synthetic_spec(path)
+    return load_synthetic_spec(path)[0]
 
 
 def test_parse_spec_roundtrip(tmp_path):

@@ -1,9 +1,11 @@
 import concurrent.futures
+import gc
 import os
 import platform
 import subprocess
 import sys
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,6 +200,34 @@ def test_train_hands_its_freed_heap_back(lr, outcome):
     assert ran == outcome
     assert int(kept) < 2 << 20
     assert int(array_kept) < 1 << 20
+
+
+def live_adams():
+    return sum(isinstance(obj, Adam) for obj in gc.get_objects())
+
+
+def test_train_trims_after_its_run_is_freed(monkeypatch):
+    # malloc_trim hands back only freed heap, so it must come after the
+    # run's optimizers, batches and tape are gone, whether train() returns
+    # or raises; a spy stands in for glibc, so no heap layout is read
+    at_trim = []
+
+    def mallopt(param, value):
+        return 1
+
+    def malloc_trim(pad):
+        at_trim.append(live_adams() - before)
+        return 0
+
+    spy = types.SimpleNamespace(mallopt=mallopt, malloc_trim=malloc_trim)
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: spy)
+    tr, te, _ = tiny_sets()
+    gc.collect()
+    before = live_adams()
+    train(tr, te, tiny_cfg(total_epochs=2, cutoff_epoch=1))
+    with pytest.raises(DivergenceError):
+        train(tr, te, tiny_cfg(lr=1e200, total_epochs=4, cutoff_epoch=1))
+    assert at_trim == [0, 0]
 
 
 EXTRA_EPOCH_FAULTS = """
