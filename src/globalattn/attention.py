@@ -127,7 +127,8 @@ def attention_forward(model: AttentionModel, p: Tensor,
     a logit above about 36.7 to exactly 1.0.  The ``l1_pixel_weights``
     baseline returns its raw multipliers; ``none`` returns all ones.
     ``conv``, if given, is called in place of :func:`conv2d`, so that a
-    caller can read every layer's input and preactivation.
+    caller can read every layer's input and preactivation, or condition
+    the layer by changing its bias and returning a re-run output.
     """
     # resolved per call, so a wrapper put on this module's conv2d (as in
     # perfbench/tracing.py) still sees every conv

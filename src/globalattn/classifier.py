@@ -82,7 +82,8 @@ def classifier_forward(model: ClassifierModel, weighted: Tensor,
     """Logits (B, L) for a batch of (possibly attention-weighted) images.
 
     ``conv``, if given, is called in place of :func:`conv2d`, so that a
-    caller can read every stage's input and preactivation.
+    caller can read every stage's input and preactivation, or condition
+    the stage by changing its bias and returning a re-run output.
     """
     # resolved per call, so a wrapper put on this module's conv2d (as in
     # perfbench/tracing.py) still sees every conv

@@ -136,7 +136,7 @@ def _cmd_gradcheck(args) -> int:
     width, height = parse_size(args.size)
     result = pipelinecheck.full_pipeline_gradcheck(
         width=width, height=height, images=args.images, seed=args.seed,
-        channels=args.channels, corrupt=args.corrupt)
+        channels=args.channels)
     for line in result.lines():
         print(line)
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=4,
                    help="hidden channels of the pixel classifier")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="grid-sweep K, lambda and E")

@@ -21,19 +21,15 @@ __all__ = ["finite_diff_grad", "grad_discrepancy", "GradCheckResult"]
 ABS_FLOOR = 1e-6
 
 
-def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
+def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor,
                      h: float = 1e-3) -> np.ndarray:
     """Central differences (f(x + h*e_i) - f(x - h*e_i)) / (2h) per element.
 
-    ``f`` re-evaluates the target from scratch; ``x.data`` is perturbed in
-    place and restored.
+    ``f`` re-evaluates the target from scratch and returns it as a float;
+    ``x.data`` is perturbed in place and restored.
     """
     if h <= 0:
         raise ContractError(f"finite_diff_grad: h must be > 0, got {h}")
-
-    def evaluate() -> float:
-        out = f(x)
-        return out.item() if isinstance(out, Tensor) else float(out)
 
     grad = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
@@ -41,9 +37,9 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = evaluate()
+        fp = f(x)
         flat[i] = orig - h
-        fm = evaluate()
+        fm = f(x)
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad

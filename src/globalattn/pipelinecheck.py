@@ -7,12 +7,12 @@ the user-facing oracle behind the ``gradcheck`` CLI command and the
 architecture-variant checks.
 
 Central differences are only a valid oracle where the cost is smooth, so
-the evaluation point is conditioned first, on the forward pass that
-training runs: every bias that feeds a ReLU is shifted, in forward order,
-until none of its preactivations sits inside the perturbation window, and
-instances whose max-pool windows hold a near-tie are redrawn
-(deterministically) until the margins clear.  The backward rules under test
-are never touched by this.
+the evaluation point is conditioned first, in one untaped forward pass of
+the cost that training runs: every bias that feeds a ReLU is shifted, in
+forward order, until none of its preactivations sits inside the
+perturbation window, and instances whose max-pool windows hold a near-tie
+are redrawn (deterministically) until the margins clear.  The backward
+rules under test are never touched by this.
 """
 
 from __future__ import annotations
@@ -76,57 +76,51 @@ def _pool_gaps_clear(preacts: np.ndarray, margin: float) -> bool:
     return bool((gap[contested] >= margin).all()) if contested.any() else True
 
 
-def _conv_io(attention: AttentionModel, classifier: ClassifierModel,
-             p: Tensor, batch: ImageBatch
-             ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Input and preactivation of every conv in an untaped forward pass of
-    ``compute_cost``, keyed by the id of the conv's bias."""
-    io = {}
+def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
+                        p: Tensor, batch: ImageBatch, h: float) -> bool:
+    """Make the evaluation point locally smooth; False if pools stay tied.
+
+    One untaped forward pass of ``compute_cost`` visits the convs in forward
+    order.  Each conv whose bias feeds a ReLU has that bias shifted, channel
+    by channel, until its preactivations clear a margin set by the conv's
+    input, and is re-run with the shifted bias, so later layers see the
+    shifted activations.  After the first failure nothing more is shifted.
+    """
+    stages = classifier.params[1:-2:2]
+    relu_fed = attention.params[1:-2:2] + stages
+    smooth = True
 
     def conv(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+        nonlocal smooth
         out = conv2d(x, kernel, bias)
-        io[id(bias)] = x.data, out.data
+        if not smooth or bias not in relu_fed:
+            return out
+        margin = 2.5 * h * (1.0 + float(np.abs(x.data).max()))
+        for ch in range(bias.size):
+            shift = _clearing_shift(out.data[:, ch], margin)
+            if shift is None:
+                smooth = False
+                return out
+            bias.data[ch] += shift
+        out = conv2d(x, kernel, bias)
+        if bias in stages:
+            smooth = _pool_gaps_clear(out.data, margin)
         return out
 
     weight_map = attention_forward(attention, p, conv=conv)
     classifier_forward(classifier, broadcast_mul(Tensor(batch.images),
                                                  weight_map), conv=conv)
-    return io
+    return smooth
 
 
-def _condition_instance(attention: AttentionModel, classifier: ClassifierModel,
-                        p: Tensor, batch: ImageBatch, h: float) -> bool:
-    """Make the evaluation point locally smooth; False if pools stay tied.
-
-    Visits every bias that feeds a ReLU in forward order, re-running the
-    forward pass each time so that later layers see the shifted
-    activations.  The conv whose bias it is gives the input and the
-    preactivations that the shift must clear.
-    """
-    stage_biases = classifier.params[1:-2:2]
-    for bias in attention.params[1:-2:2] + stage_biases:
-        x, preacts = _conv_io(attention, classifier, p, batch)[id(bias)]
-        margin = 2.5 * h * (1.0 + float(np.abs(x).max()))
-        for ch in range(bias.size):
-            shift = _clearing_shift(preacts[:, ch], margin)
-            if shift is None:
-                return False
-            bias.data[ch] += shift
-        if bias in stage_biases:
-            _, preacts = _conv_io(attention, classifier, p, batch)[id(bias)]
-            if not _pool_gaps_clear(preacts, margin):
-                return False
-    return True
-
-
-def _draw_instance(batch: ImageBatch, seed: int, h: float, **arch
+def _draw_instance(batch: ImageBatch, seed: int, **arch
                    ) -> tuple[AttentionModel, ClassifierModel, Tensor, float]:
     """Models built as training builds them from ``arch`` (``TrainConfig``
     fields), conditioned at the first step that admits a smooth instance."""
     # Larger instances hold more pool windows, so near-ties get ever more
     # likely at a fixed step; shrinking h shrinks the flip window while fp64
     # central differences stay far more accurate than the tolerance.
-    for h_try in (h, h * 0.1, h * 0.01):
+    for h_try in (H, H * 0.1, H * 0.01):
         for attempt in range(_MAX_REDRAWS):
             cfg = TrainConfig(seed=mix_seed(seed, _REDRAW + attempt), **arch)
             attention, classifier, p = build_models(batch, cfg)
@@ -140,13 +134,11 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
                             seed: int = 0, channels: int = 4,
                             hidden_kernel: int = 3, depth: int = 2,
                             last_kernel: int = 1,
-                            dense_connections: bool = False,
-                            corrupt: bool = False) -> GradCheckResult:
+                            dense_connections: bool = False) -> GradCheckResult:
     """Check d(cost)/d(param) for every parameter of both networks.
 
     Finite differences re-run the whole composite per element, so the
-    instance must stay tiny.  ``corrupt`` deliberately damages one analytic
-    gradient, as a negative control proving the check can fail.
+    instance must stay tiny.
     """
     if width > MAX_SIZE or height > MAX_SIZE:
         raise ConfigError(
@@ -165,7 +157,7 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
     batch, _ = generate_synthetic(spec)
     stages = (4, 8) if width % 4 == 0 and height % 4 == 0 else (4,)
     attention, classifier, p, h = _draw_instance(
-        batch, seed, H, channels=channels, hidden_kernel=hidden_kernel,
+        batch, seed, channels=channels, hidden_kernel=hidden_kernel,
         depth=depth, last_kernel=last_kernel,
         dense_connections=dense_connections, stages=stages)
     images_t = Tensor(batch.images)
@@ -181,14 +173,9 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
 
     named = [(f"attention.p{i}", t) for i, t in enumerate(attention.params)]
     named += [(f"classifier.p{i}", t) for i, t in enumerate(classifier.params)]
-    analytic = {name: t.grad.copy() for name, t in named}
-    if corrupt:
-        bad = analytic["attention.p0"]
-        bad += 0.01 * (np.abs(bad) + 1.0)
-
     errors: dict[str, float] = {}
     for name, param in named:
         numeric = finite_diff_grad(cost_value, param, h)
-        errors[name] = grad_discrepancy(analytic[name], numeric,
+        errors[name] = grad_discrepancy(param.grad, numeric,
                                         rel_tol=TOLERANCE)
     return GradCheckResult(errors, TOLERANCE, h)

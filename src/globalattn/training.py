@@ -258,13 +258,16 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
     and their optimizer state stay untouched bit for bit, and the cached
     constant map keeps multiplying the inputs.  Raises
     :class:`DivergenceError` with the epoch index if the loss goes
-    non-finite.  On glibc the steps reuse each other's freed arrays, and
-    the call returns, or raises, with glibc's starting heap thresholds
-    and its free heap handed back to the OS, after the run has freed every
-    array but the report's (see :func:`_heap_policy_for_run`).
+    non-finite; numpy's overflow, invalid and divide warnings are silenced
+    for the whole run, so a diverging run reports only that error.  On
+    glibc the steps reuse each other's freed arrays, and the call returns,
+    or raises, with glibc's starting heap thresholds and its free heap
+    handed back to the OS, after the run has freed every array but the
+    report's (see :func:`_heap_policy_for_run`).
     """
     _check_compatible(train_set, test_set)
-    with _heap_policy_for_run():
+    with (_heap_policy_for_run(),
+          np.errstate(over="ignore", invalid="ignore", divide="ignore")):
         outcome = _run_schedule(train_set, test_set, cfg)
     if isinstance(outcome, int):
         raise DivergenceError(outcome)
@@ -302,10 +305,7 @@ def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
             idx = order[start:start + cfg.batch_size]
             xb = Tensor(train_set.images[idx])
             yb = train_set.labels[idx]
-            # a diverging step overflows; the finite-loss check reports it
-            with (np.errstate(over="ignore", invalid="ignore",
-                              divide="ignore"),
-                  GradientTape() as tape):
+            with GradientTape() as tape:
                 cost = compute_cost(xb, yb, attention, classifier, p,
                                     cfg.l1_coeff, weight_map=frozen_map)
                 if not np.isfinite(cost.data).all():

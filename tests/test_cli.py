@@ -1,3 +1,4 @@
+import argparse
 import errno
 import os
 import re
@@ -10,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from globalattn import cli, manifest
+from globalattn import attention, cli, manifest
 from globalattn.cli import main
 from globalattn.config import load_kv_file, parse_kv_text
 from globalattn.datasets import load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
 from globalattn.synthetic import (generate_synthetic, load_synthetic_spec,
                                   split_train_test)
+from globalattn.tensor import Tensor, add, relu
 
 from oracles import fnv1a64_reference
 
@@ -591,8 +593,16 @@ def test_gradcheck_default_passes(capsys):
     assert "PASS" in out and "max rel error" in out
 
 
-def test_gradcheck_corrupted_backward_fails():
-    assert main(["gradcheck", "--corrupt"]) == 1
+def relu_ignoring_its_mask(x):
+    """relu's forward values, with a backward that passes every gradient
+    through, as a backward that dropped its mask would."""
+    return add(x, Tensor(relu(x).data - x.data))
+
+
+def test_gradcheck_corrupted_backward_fails(monkeypatch, capsys):
+    monkeypatch.setattr(attention, "relu", relu_ignoring_its_mask)
+    assert main(["gradcheck"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
 
 def test_gradcheck_seed_change_still_passes():
@@ -802,7 +812,8 @@ EXIT_CODES = [
     ("train", 3, lambda t: train_args(t, damage=nan_pixel)),
     ("train", 4, lambda t: train_args(t, TRAIN_CFG + "lr = 1e200\n")),
     ("gradcheck", 0, lambda t: []),
-    ("gradcheck", 1, lambda t: ["--corrupt"]),
+    # exit 1 is a check that fails: this row runs with a faulty backward
+    ("gradcheck", 1, lambda t: []),
     ("gradcheck", 2, lambda t: ["--size", "8by8"]),
     ("sweep", 0, sweep_args),
     ("sweep", 2, lambda t: sweep_args(t, grid_text="K = 4\n")),
@@ -832,6 +843,8 @@ def exit_code_ids(rows):
 def test_documented_exit_code(tmp_path, monkeypatch, capsys, command, code,
                               args):
     argv = [command, *args(tmp_path)]
+    if code == cli.EXIT_CHECK_FAILED:
+        monkeypatch.setattr(attention, "relu", relu_ignoring_its_mask)
     if code == cli.EXIT_IO:
         monkeypatch.setattr(os, "replace", disk_full)
     assert main(argv) == code
@@ -905,6 +918,19 @@ def test_path_of_the_wrong_kind_exits_with_one_line(tmp_path, capsys, command,
     assert main([command, *args(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_every_cli_option_is_documented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    missing = [f"{name} {option}"
+               for name, sub in commands.items()
+               for action in sub._actions
+               for option in action.option_strings
+               if option not in ("-h", "--help")
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert not missing, missing
 
 
 def test_readme_exit_code_paragraph_matches_table():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -283,13 +284,27 @@ def test_divergence_aborts_with_epoch_index():
 
 
 def test_overflow_outside_train_still_warns():
-    """train() silences overflow only inside its own steps: after a run
+    """train() silences overflow only inside its own run: after a run
     that diverged, an overflow still fails under filterwarnings = error."""
     tr, te, _ = tiny_sets()
     with pytest.raises(DivergenceError):
         train(tr, te, tiny_cfg(lr=1e200, total_epochs=4, cutoff_epoch=1))
     with pytest.raises(RuntimeWarning, match="overflow"):
         np.exp(np.array([1000.0]))
+
+
+def test_diverging_run_warns_nowhere():
+    """The Adam updates, map refreshes and eval passes of a diverging run
+    overflow as well as its steps; none of them may warn."""
+    spec = SyntheticSpec(n=40, c=1, w=8, h=8, relevant_region=(2, 2, 5, 5),
+                         num_classes=3, signal_strength=1.0, noise_std=1.0,
+                         seed=0)
+    tr, te = split_train_test(generate_synthetic(spec)[0], 0.8, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            train(tr, te, TrainConfig(lr=1e200, total_epochs=3,
+                                      cutoff_epoch=1))
 
 
 def test_none_mode_matches_attention_free_twin_bitwise():
