@@ -77,9 +77,9 @@ class AttentionModel:
     )
 
     def __init__(self, mode: str, in_channels: int, width: int, height: int,
-                 channels: int = 8, hidden_kernel: int = 3, depth: int = 2,
-                 last_kernel: int = 1, dense_connections: bool = False,
-                 rng: np.random.Generator | None = None):
+                 channels: int, hidden_kernel: int, depth: int,
+                 last_kernel: int, dense_connections: bool,
+                 rng: np.random.Generator):
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         for name, size in (("in_channels", in_channels), ("width", width),
@@ -103,8 +103,6 @@ class AttentionModel:
         self.dense_connections = dense_connections
         self.params: list[Tensor] = []
         if mode == "pixel_cnn":
-            if rng is None:
-                raise ConfigError("pixel_cnn mode needs an init rng")
             cin = in_channels
             for layer in range(depth - 1):
                 self.params += conv_params(rng, channels, cin, hidden_kernel)
@@ -157,9 +155,10 @@ def attention_l1_penalty(model: AttentionModel, weight_map: Tensor) -> Tensor:
     return l1_mean(weight_map)
 
 
-def export_attention_map(weight_map: Tensor | np.ndarray,
+def export_attention_map(weight_map: np.ndarray,
                          base_path: str | Path) -> dict[Path, str]:
-    """Write ``<base>.csv`` (raw values) and ``<base>.pgm`` (visualization),
+    """Write the (1, 1, W, H) map array (as ``TrainReport.snapshots`` holds
+    it) to ``<base>.csv`` (raw values) and ``<base>.pgm`` (visualization),
     each through ``serialize.write_file``; return ``{path: digest}``.
 
     The CSV holds one row per y, columns ordered by x.  The PGM is 8-bit
@@ -168,14 +167,10 @@ def export_attention_map(weight_map: Tensor | np.ndarray,
     maps; raw values survive only in the CSV).  A constant map normalizes
     to all zeros instead of erroring.
     """
-    data = weight_map.data if isinstance(weight_map, Tensor) else weight_map
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 4:
-        if data.shape[:2] != (1, 1):
-            raise ContractError(f"expected a (1, 1, W, H) map, got {data.shape}")
-        data = data[0, 0]
-    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-        raise ContractError(f"expected a W x H map, got shape {data.shape}")
+    data = np.asarray(weight_map, dtype=np.float64)
+    if data.ndim != 4 or data.shape[:2] != (1, 1) or 0 in data.shape:
+        raise ContractError(f"expected a (1, 1, W, H) map, got {data.shape}")
+    data = data[0, 0]
     w, h = data.shape
     base = Path(base_path)
     csv_path = base.with_name(base.name + ".csv")

@@ -40,8 +40,8 @@ class ClassifierModel:
     )
 
     def __init__(self, in_channels: int, width: int, height: int,
-                 num_classes: int, stages: Sequence[int] = (8, 16),
-                 rng: np.random.Generator | None = None):
+                 num_classes: int, stages: Sequence[int],
+                 rng: np.random.Generator):
         stages = tuple(stages)
         if not stages:
             raise ConfigError("classifier needs at least one stage")
@@ -54,8 +54,6 @@ class ClassifierModel:
         if width % factor or height % factor:
             raise ConfigError(
                 f"spatial size {width}x{height} not divisible by 2^{len(stages)}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.in_channels = in_channels
         self.width = width
         self.height = height
@@ -99,10 +97,9 @@ def classifier_forward(model: ClassifierModel, weighted: Tensor,
     return linear(flatten(x), model.params[-2], model.params[-1])
 
 
-def predict(logits: Tensor | np.ndarray) -> list[int]:
+def predict(logits: Tensor) -> list[int]:
     """Per-row argmax; ties resolve to the lowest index."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return [int(i) for i in data.argmax(axis=1)]
+    return [int(i) for i in logits.data.argmax(axis=1)]
 
 
 def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:

@@ -195,8 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="check all gradients against finite differences")
-    p.add_argument("--size", default="8x8", help="image size WxH (max 16x16)")
-    p.add_argument("--images", type=int, default=2, help="image count (max 4)")
+    cap = pipelinecheck.MAX_SIZE
+    p.add_argument("--size", default="8x8",
+                   help=f"image size WxH (max {cap}x{cap})")
+    p.add_argument("--images", type=int, default=2,
+                   help=f"image count (max {pipelinecheck.MAX_IMAGES})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=4,
                    help="hidden channels of the pixel classifier")

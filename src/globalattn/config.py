@@ -46,7 +46,7 @@ def parse_kv_text(text: str, allowed_keys: tuple[str, ...] | None = None
     return out
 
 
-def load_kv_file(path: str | Path, allowed_keys: tuple[str, ...] | None = None
+def load_kv_file(path: str | Path, allowed_keys: tuple[str, ...]
                  ) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():

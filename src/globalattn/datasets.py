@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Field, format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, ContractError, DataFormatError
-from .serialize import gten_slices, write_file, write_gten
+from .serialize import _all_finite, gten_slices, write_file, write_gten
 
 __all__ = ["ImageBatch", "save_dataset", "open_dataset", "load_dataset"]
 
@@ -37,6 +37,9 @@ class ImageBatch:
                 f"images must be rank 4 (N, C, W, H), got rank {self.images.ndim}")
         if self.images.shape[0] < 1:
             raise ContractError("batch must contain at least one image")
+        if 0 in self.images.shape:
+            raise ContractError(
+                f"images must have no zero extent, got {self.images.shape}")
         self.labels = _checked_labels(self.labels, self.images.shape[0],
                                       self.num_classes)
         if not _all_finite(self.images):
@@ -71,12 +74,6 @@ def _checked_labels(labels, n: int, num_classes: int) -> np.ndarray:
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ContractError(f"labels must lie in [0, {num_classes})")
     return labels
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    # min and max propagate NaN and reach any infinity, with no mask
-    # the size of the values
-    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 _META_FIELDS = (Field("num_classes", "num_classes", int),)
@@ -121,6 +118,9 @@ def _checked_images(images: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         if image.ndim != 3:
             raise ContractError(
                 f"an image must be rank 3 (C, W, H), got rank {image.ndim}")
+        if 0 in image.shape:
+            raise ContractError(
+                f"images must have no zero extent, got {image.shape}")
         if not _all_finite(image):
             raise ContractError("images contain non-finite values")
         yield image

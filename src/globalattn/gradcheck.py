@@ -22,7 +22,7 @@ ABS_FLOOR = 1e-6
 
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor,
-                     h: float = 1e-3) -> np.ndarray:
+                     h: float) -> np.ndarray:
     """Central differences (f(x + h*e_i) - f(x - h*e_i)) / (2h) per element.
 
     ``f`` re-evaluates the target from scratch and returns it as a float;
@@ -46,7 +46,7 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor,
 
 
 def grad_discrepancy(analytic: np.ndarray, numeric: np.ndarray,
-                     rel_tol: float = 1e-3) -> float:
+                     rel_tol: float) -> float:
     """Worst-case mismatch, scaled so that a value <= ``rel_tol`` passes.
 
     Elements with |numeric| >= ABS_FLOOR contribute |diff| / |numeric|;

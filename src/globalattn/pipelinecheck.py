@@ -39,7 +39,7 @@ L1_COEFF = 0.05
 H = 1e-3
 TOLERANCE = 1e-3
 _REDRAW = 0x3B1B448D3C0633DD  # seeding.stream_tag("gradcheck-redraw")
-# Draws per step size; the default 8x8, 2-image check clears at h = 1e-3
+# Draws per step size; the CLI's default 8x8, 2-image check clears at h = 1e-3
 # after 215 failed draws, and a larger budget only delays the next step.
 _MAX_REDRAWS = 250
 
@@ -130,15 +130,14 @@ def _draw_instance(batch: ImageBatch, seed: int, **arch
         "could not draw a locally smooth check instance; adjust the seed")
 
 
-def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
-                            seed: int = 0, channels: int = 4,
-                            hidden_kernel: int = 3, depth: int = 2,
-                            last_kernel: int = 1,
-                            dense_connections: bool = False) -> GradCheckResult:
+def full_pipeline_gradcheck(width: int, height: int, images: int, seed: int,
+                            channels: int, **arch) -> GradCheckResult:
     """Check d(cost)/d(param) for every parameter of both networks.
 
-    Finite differences re-run the whole composite per element, so the
-    instance must stay tiny.
+    ``arch`` sets the pixel classifier's ``hidden_kernel``, ``depth``,
+    ``last_kernel`` and ``dense_connections``; each one it leaves out keeps
+    its ``TrainConfig`` default.  Finite differences re-run the whole
+    composite per element, so the instance must stay tiny.
     """
     if width > MAX_SIZE or height > MAX_SIZE:
         raise ConfigError(
@@ -157,9 +156,7 @@ def full_pipeline_gradcheck(width: int = 8, height: int = 8, images: int = 2,
     batch, _ = generate_synthetic(spec)
     stages = (4, 8) if width % 4 == 0 and height % 4 == 0 else (4,)
     attention, classifier, p, h = _draw_instance(
-        batch, seed, channels=channels, hidden_kernel=hidden_kernel,
-        depth=depth, last_kernel=last_kernel,
-        dense_connections=dense_connections, stages=stages)
+        batch, seed, channels=channels, stages=stages, **arch)
     images_t = Tensor(batch.images)
 
     def cost_value(_=None) -> float:

@@ -48,6 +48,10 @@ MAGIC = b"GTEN"
 
 
 def _gten_head(shape: tuple[int, ...]) -> bytes:
+    """The header of a tensor of ``shape``; a zero dim, which the reader
+    would refuse, raises :class:`DataFormatError`."""
+    if 0 in shape:
+        raise DataFormatError("zero dimension in dims field")
     return MAGIC + struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
 
 
@@ -60,19 +64,18 @@ def _f4(values) -> memoryview:
     with np.errstate(over="ignore"):
         # note: ascontiguousarray would promote rank-0 arrays to rank 1
         arr = np.asarray(values, dtype="<f4", order="C")
-    if not _finite_f4(arr):
+    if not _all_finite(arr):
         raise DataFormatError("tensor holds a NaN, an infinity or a value "
                               "beyond the float32 range")
     return memoryview(arr).cast("B")
 
 
-def _finite_f4(values: np.ndarray) -> bool:
-    """Whether every float32 value is finite, with no mask of the values: a
-    float64 sum of float32 values cannot overflow, so it is finite exactly
-    when every value is.  A sum that meets inf and -inf is NaN, without the
-    warning numpy would print for it."""
-    with np.errstate(invalid="ignore"):
-        return bool(np.isfinite(values.sum(dtype=np.float64)))
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether no value is a NaN or an infinity, so an empty array is.  min
+    and max propagate NaN and reach any infinity, with no mask the size of
+    the values and no warning."""
+    return values.size == 0 or bool(np.isfinite(values.min())
+                                     and np.isfinite(values.max()))
 
 
 def _gten_parts(slices, n: int | None = None) -> Iterator:
@@ -139,34 +142,31 @@ def _read_head(fh, nbytes: int) -> tuple[int, ...]:
 
 def _read_slices(fh, dims: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Yield the values after a header that :func:`_read_head` checked, as
-    float64 arrays, one slice (see :func:`_slicing`) at a time.  Neither a
-    slice's float32 bytes nor the slice itself is held once yielded."""
+    float64 arrays, one slice (see :func:`_slicing`) at a time; a
+    shortfall, a NaN or an infinity raises :class:`DataFormatError` when its
+    slice is reached.  Neither a slice's float32 bytes nor the slice itself
+    is held once the next slice is asked for."""
     count, shape = _slicing(dims)
     size = 4 * math.prod(shape)
     for _ in range(count):
-        yield _decode(fh.read(size), size, shape)
-
-
-def _decode(raw: bytes, size: int, shape: tuple[int, ...]) -> np.ndarray:
-    """``size`` bytes of float32 values as a float64 array of ``shape``; a
-    shortfall, a NaN or an infinity raises :class:`DataFormatError`."""
-    if len(raw) != size:
-        raise DataFormatError("tensor file truncated inside values field")
-    values = np.frombuffer(raw, dtype="<f4")
-    if not _finite_f4(values):
-        raise DataFormatError("values field holds a NaN or infinite value")
-    return values.astype(np.float64).reshape(shape)
-
-
-def _fill(dims: tuple[int, ...], slices: Iterator[np.ndarray]) -> np.ndarray:
-    """One float64 array of shape ``dims`` filled from the reader."""
-    count, shape = _slicing(dims)
-    return np.fromiter(slices, np.dtype((np.float64, shape)), count).reshape(dims)
+        values = fh.read(size)
+        if len(values) != size:
+            raise DataFormatError("tensor file truncated inside values field")
+        values = np.frombuffer(values, dtype="<f4")
+        if not _all_finite(values):
+            raise DataFormatError("values field holds a NaN or infinite value")
+        values = values.astype(np.float64).reshape(shape)
+        yield values
+        del values
 
 
 def _read_tensor(fh, nbytes: int) -> np.ndarray:
+    """The ``nbytes`` tensor blob at ``fh`` as one float64 array, filled one
+    slice at a time once its header is checked."""
     dims = _read_head(fh, nbytes)
-    return _fill(dims, _read_slices(fh, dims))
+    count, shape = _slicing(dims)
+    return np.fromiter(_read_slices(fh, dims), np.dtype((np.float64, shape)),
+                       count).reshape(dims)
 
 
 @contextmanager
@@ -237,7 +237,8 @@ def _gten_file(path: str | Path) -> Iterator:
 
 
 def read_gten(path: str | Path) -> np.ndarray:
-    return _fill(*gten_slices(path))
+    with open(path, "rb") as fh:
+        return _read_tensor(fh, os.fstat(fh.fileno()).st_size)
 
 
 def write_checkpoint(path: str | Path, header: dict[str, str],

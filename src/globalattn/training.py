@@ -17,7 +17,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +102,8 @@ class TrainConfig:
     )
 
     def __post_init__(self):
+        if self.total_epochs < 1:
+            raise ConfigError("total_epochs must be >= 1")
         if not 0 <= self.cutoff_epoch <= self.total_epochs:
             raise ConfigError(
                 f"E must lie in [0, {self.total_epochs}], got {self.cutoff_epoch}")
@@ -111,8 +113,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.total_epochs < 1:
-            raise ConfigError("total_epochs must be >= 1")
         if self.eval_protocol not in PROTOCOLS:
             raise ConfigError(
                 f"eval_protocol must be one of {PROTOCOLS}, got {self.eval_protocol!r}")
@@ -134,8 +134,8 @@ class TrainReport:
     """Per-epoch metrics plus weight-map snapshots at epochs {0, E, final}."""
 
     rows: list[EpochRow]
-    snapshots: dict[int, np.ndarray] = field(default_factory=dict)
-    final_models: tuple[AttentionModel, ClassifierModel] | None = None
+    snapshots: dict[int, np.ndarray]
+    final_models: tuple[AttentionModel, ClassifierModel]
 
     def test_accuracies(self) -> list[float]:
         return [r.test_acc for r in self.rows]
@@ -329,7 +329,7 @@ def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
                 attention_l1_penalty(attention, Tensor(map_now)).data)))
         if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
             snapshots[epoch] = map_now.copy()
-    return TrainReport(rows, snapshots, final_models=(attention, classifier))
+    return TrainReport(rows, snapshots, (attention, classifier))
 
 
 def rank_epochs(mean_accuracy, top: int) -> list[int]:

@@ -10,17 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from globalattn.attention import AttentionModel
+from globalattn.attention import attention_forward
 from globalattn.classifier import ClassifierModel, classifier_forward
 from globalattn.cli import main
-from globalattn.datasets import load_dataset
+from globalattn.datasets import ImageBatch, load_dataset
 from globalattn.optim import Adam
 from globalattn.pipelinecheck import full_pipeline_gradcheck
 from globalattn.preprocess import crop_columns, normalize_standardize, resize_area
 from globalattn.seeding import CLASSIFIER_INIT, SHUFFLE, rng_for
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.tensor import GradientTape, Tensor, backward, softmax_cross_entropy
-from globalattn.training import TrainConfig, train
+from globalattn.training import TrainConfig, build_models, train
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -47,19 +47,23 @@ def test_criterion_1_gradient_oracle():
 # 2. parameter-count oracle
 # ---------------------------------------------------------------------------
 
+def attention_model(n, c, k):
+    """The map a default ``TrainConfig`` with ``K = k`` builds for N = n
+    images of C = c channels."""
+    batch = ImageBatch(np.zeros((n, c, 4, 4)), np.zeros(n), num_classes=1)
+    return build_models(batch, TrainConfig(channels=k))[0]
+
+
 def test_criterion_2_parameter_count():
     mismatches = []
     for k in (8, 32):
         for n in (4, 100):
             for c in (1, 3):
-                model = AttentionModel("pixel_cnn", in_channels=n * c,
-                                       width=4, height=4, channels=k,
-                                       rng=np.random.default_rng(0))
+                model = attention_model(n, c, k)
                 expected = k * (3 * 3 * n * c + 1) + (k + 1)
                 if model.num_parameters() != expected:
                     mismatches.append((k, n, c))
-    headline = AttentionModel("pixel_cnn", in_channels=300, width=4, height=4,
-                              channels=32, rng=np.random.default_rng(0))
+    headline = attention_model(100, 3, 32)
     ok = not mismatches and headline.num_parameters() == 86465
     verdict(2, ok, "closed form K*(9NC+1)+(K+1) exact over the sweep; "
                    "(K=32, N=100, C=3) -> 86465")
@@ -243,9 +247,8 @@ def test_criterion_9_architecture_variants():
     for kw in variants:
         result = full_pipeline_gradcheck(width=8, height=8, images=2, seed=0,
                                          channels=4, **kw)
-        model = AttentionModel("pixel_cnn", in_channels=2, width=8, height=8,
-                               channels=4, rng=np.random.default_rng(0), **kw)
-        from globalattn.attention import attention_forward
+        batch = ImageBatch(np.zeros((2, 1, 8, 8)), np.zeros(2), num_classes=1)
+        model, _, _ = build_models(batch, TrainConfig(channels=4, **kw))
         out = attention_forward(
             model, Tensor(np.random.default_rng(1).standard_normal((1, 2, 8, 8))))
         if not result.passed or out.shape != (1, 1, 8, 8):

@@ -9,6 +9,7 @@ from globalattn.datasets import ImageBatch
 from globalattn.errors import ConfigError, ContractError
 from globalattn.serialize import load_model_checkpoint, save_model_checkpoint
 from globalattn.tensor import Tensor
+from globalattn.training import TrainConfig
 
 
 def make_batch(n=2, c=3, w=4, h=4, seed=0):
@@ -17,10 +18,14 @@ def make_batch(n=2, c=3, w=4, h=4, seed=0):
                       np.arange(n) % 2, num_classes=2)
 
 
-def make_model(batch, mode="pixel_cnn", seed=0, **kw):
-    return AttentionModel(mode, in_channels=batch.n * batch.c,
-                          width=batch.w, height=batch.h,
-                          rng=np.random.default_rng(seed), **kw)
+def make_model(batch, mode="pixel_cnn", seed=0, **arch):
+    """A model for ``batch`` with ``TrainConfig``'s architecture, but for
+    the fields in ``arch``."""
+    cfg = TrainConfig(**arch)
+    return AttentionModel(mode, batch.n * batch.c, batch.w, batch.h,
+                          cfg.channels, cfg.hidden_kernel, cfg.depth,
+                          cfg.last_kernel, cfg.dense_connections,
+                          np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +70,7 @@ def test_pixel_representation_is_a_view_of_the_batch():
 
 def test_none_mode_returns_all_ones():
     batch = make_batch()
-    model = AttentionModel("none", batch.n * batch.c, batch.w, batch.h)
+    model = make_model(batch, "none")
     out = attention_forward(model, build_pixel_representation(batch))
     assert np.array_equal(out.data, np.ones((1, 1, 4, 4)))
     assert model.num_parameters() == 0
@@ -90,8 +95,7 @@ def test_pixel_cnn_output_range_strictly_inside_unit_interval():
 
 def test_l1_pixel_weights_mode_returns_raw_multipliers():
     batch = make_batch()
-    model = AttentionModel("l1_pixel_weights", batch.n * batch.c,
-                           batch.w, batch.h)
+    model = make_model(batch, "l1_pixel_weights")
     out = attention_forward(model, build_pixel_representation(batch))
     assert out is model.params[0]
     assert np.array_equal(out.data, np.ones((1, 1, 4, 4)))
@@ -150,14 +154,13 @@ def test_variants_preserve_spatial_size(kw):
 
 
 def test_invalid_configurations_raise():
+    batch = make_batch(n=4, c=1)
     with pytest.raises(ConfigError):
-        AttentionModel("pixel_cnn", 4, 4, 4, hidden_kernel=4,
-                       rng=np.random.default_rng(0))
+        make_model(batch, hidden_kernel=4)
     with pytest.raises(ConfigError):
-        AttentionModel("pixel_cnn", 4, 4, 4, depth=1,
-                       rng=np.random.default_rng(0))
+        make_model(batch, depth=1)
     with pytest.raises(ConfigError):
-        AttentionModel("bogus", 4, 4, 4)
+        make_model(batch, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +171,12 @@ def test_invalid_configurations_raise():
 @pytest.mark.parametrize("n", [4, 100])
 @pytest.mark.parametrize("c", [1, 3])
 def test_default_parameter_count_closed_form(k, n, c):
-    model = AttentionModel("pixel_cnn", in_channels=n * c, width=4, height=4,
-                           channels=k, rng=np.random.default_rng(0))
+    model = make_model(make_batch(n=n, c=c), channels=k)
     assert model.num_parameters() == k * (3 * 3 * n * c + 1) + (k + 1)
 
 
 def test_parameter_count_headline_example():
-    model = AttentionModel("pixel_cnn", in_channels=100 * 3, width=4, height=4,
-                           channels=32, rng=np.random.default_rng(0))
+    model = make_model(make_batch(n=100, c=3), channels=32)
     assert model.num_parameters() == 86465
 
 
@@ -194,15 +195,14 @@ def test_penalty_examples():
 
 def test_penalty_zero_in_none_mode():
     batch = make_batch()
-    model = AttentionModel("none", batch.n * batch.c, batch.w, batch.h)
+    model = make_model(batch, "none")
     ones = Tensor(np.ones((1, 1, 4, 4)))
     assert attention_l1_penalty(model, ones).item() == 0.0
 
 
 def test_l1_baseline_initial_penalty_is_one():
     batch = make_batch()
-    model = AttentionModel("l1_pixel_weights", batch.n * batch.c,
-                           batch.w, batch.h)
+    model = make_model(batch, "l1_pixel_weights")
     out = attention_forward(model, build_pixel_representation(batch))
     assert attention_l1_penalty(model, out).item() == 1.0
 
@@ -214,7 +214,7 @@ def test_l1_baseline_initial_penalty_is_one():
 def test_export_normalization(tmp_path):
     data = np.zeros((1, 1, 2, 2))
     data[0, 0] = [[0.2, 0.8], [0.5, 0.2]]
-    csv_path, pgm_path = export_attention_map(Tensor(data), tmp_path / "m")
+    csv_path, pgm_path = export_attention_map(data, tmp_path / "m")
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "0.2,0.5"  # y = 0 row, x across columns
     blob = pgm_path.read_bytes()
@@ -228,7 +228,7 @@ def test_export_normalization(tmp_path):
 
 def test_export_constant_map_normalizes_to_zeros(tmp_path):
     data = np.full((1, 1, 3, 2), 0.4)
-    _, pgm_path = export_attention_map(Tensor(data), tmp_path / "m")
+    _, pgm_path = export_attention_map(data, tmp_path / "m")
     blob = pgm_path.read_bytes()
     pixels = np.frombuffer(blob.split(b"255\n", 1)[1], dtype=np.uint8)
     assert np.array_equal(pixels, np.zeros(6, dtype=np.uint8))
@@ -237,11 +237,18 @@ def test_export_constant_map_normalizes_to_zeros(tmp_path):
 def test_export_binary_corner_values(tmp_path):
     data = np.zeros((1, 1, 2, 2))
     data[0, 0] = [[0.0, 1.0], [1.0, 0.0]]
-    _, pgm_path = export_attention_map(Tensor(data), tmp_path / "m")
+    _, pgm_path = export_attention_map(data, tmp_path / "m")
     pixels = np.frombuffer(pgm_path.read_bytes().split(b"255\n", 1)[1],
                            dtype=np.uint8)
     assert sorted(pixels.tolist()) == [0, 0, 255, 255]
     assert pixels[0] == 0 and pixels[3] == 0
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2, 2), (1, 1, 0, 3)])
+def test_export_refuses_anything_but_one_map(tmp_path, shape):
+    with pytest.raises(ContractError, match=r"expected a \(1, 1, W, H\) map"):
+        export_attention_map(np.zeros(shape), tmp_path / "m")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_csv_roundtrips_raw_values(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 
 from globalattn import attention, cli, manifest
 from globalattn.cli import main
-from globalattn.config import load_kv_file, parse_kv_text
+from globalattn.config import parse_kv_text
 from globalattn.datasets import load_dataset, save_dataset
 from globalattn.serialize import read_gten, write_gten
 from globalattn.synthetic import (generate_synthetic, load_synthetic_spec,
@@ -58,7 +58,7 @@ def run_gen(tmp_path, subdir="data", spec_text=SYNTH_SPEC):
 
 
 def manifest_checksums(path):
-    kv = load_kv_file(path)
+    kv = parse_kv_text(path.read_text())
     return {k: v for k, v in kv.items() if k.startswith("checksum.")}
 
 
@@ -318,8 +318,8 @@ def test_each_spec_file_is_read_once_per_command(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert reads.count("synth.cfg") == 1 and reads.count("pre.cfg") == 1
     for directory, text in ((raw, SYNTH_SPEC), (out, pre_text)):
-        recorded = {k[len("config."):]: v
-                    for k, v in load_kv_file(directory / "manifest.txt").items()
+        manifest = parse_kv_text((directory / "manifest.txt").read_text())
+        recorded = {k[len("config."):]: v for k, v in manifest.items()
                     if k.startswith("config.")}
         assert recorded == parse_kv_text(text)
 
@@ -672,7 +672,7 @@ def test_every_artifact_is_listed_in_exactly_one_manifest(tmp_path):
     assert main(["train", "--config", cfg, "--data", str(data),
                  "--out", str(out)]) == 0
     for directory in (data, out):
-        kv = load_kv_file(directory / "manifest.txt")
+        kv = parse_kv_text((directory / "manifest.txt").read_text())
         listed = {v.rsplit("/", 1)[-1] for k, v in kv.items()
                   if k.startswith("output.")}
         present = {p.name for p in directory.iterdir()
@@ -706,7 +706,7 @@ def test_manifest_checksums_match_an_independent_fnv(tmp_path):
     assert len(manifests) == 4
     sizes = []
     for manifest in manifests:
-        kv = load_kv_file(manifest)
+        kv = parse_kv_text(manifest.read_text())
         checked = 0
         for key, value in kv.items():
             if key.startswith("checksum."):

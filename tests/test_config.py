@@ -7,6 +7,7 @@ import pytest
 from globalattn.attention import AttentionModel
 from globalattn.classifier import ClassifierModel
 from globalattn.config import format_fields, format_kv, parse_fields
+from globalattn.errors import ConfigError
 from globalattn.preprocess import PreprocessSpec
 from globalattn.synthetic import SyntheticSpec
 from globalattn.training import TrainConfig, config_kv, load_train_config
@@ -29,6 +30,15 @@ def test_config_kv_pins_manifest_strings():
         "dense_connections": "0", "stages": "8,16"}
 
 
+@pytest.mark.parametrize("fields", [
+    {"total_epochs": 0}, {"total_epochs": -3, "cutoff_epoch": 0}],
+    ids=["zero", "negative"])
+def test_train_config_names_total_epochs_below_one(fields):
+    # checked before E, whose range [0, total_epochs] it bounds
+    with pytest.raises(ConfigError, match="total_epochs must be >= 1"):
+        TrainConfig(**fields)
+
+
 def test_non_default_config_changes_every_field():
     for f in dataclasses.fields(TrainConfig):
         assert getattr(NON_DEFAULT_CFG, f.name) != f.default, f.name
@@ -46,7 +56,8 @@ def test_train_config_format_parse_roundtrip(tmp_path, cfg):
     AttentionModel("pixel_cnn", in_channels=6, width=4, height=4, channels=3,
                    hidden_kernel=5, depth=3, last_kernel=3,
                    dense_connections=True, rng=np.random.default_rng(0)),
-    ClassifierModel(2, 8, 8, 3, stages=(4, 8, 2)),
+    ClassifierModel(2, 8, 8, 3, stages=(4, 8, 2),
+                    rng=np.random.default_rng(0)),
 ], ids=["attention", "classifier"])
 def test_model_header_format_parse_roundtrip(model):
     header = format_fields(model.FIELDS, model)

@@ -66,8 +66,10 @@ def originals(tmp_path_factory):
     for path in save_dataset(root / "d", batch.images, batch.labels,
                              batch.num_classes):
         files[path.name.split(".", 1)[1]] = path.read_bytes()
-    save_model_checkpoint(AttentionModel("pixel_cnn", 3, 4, 4, channels=2,
-                                         rng=rng), root / "a.ckpt")
+    save_model_checkpoint(
+        AttentionModel("pixel_cnn", 3, 4, 4, channels=2, hidden_kernel=3,
+                       depth=2, last_kernel=1, dense_connections=False,
+                       rng=rng), root / "a.ckpt")
     save_model_checkpoint(ClassifierModel(1, 4, 4, 3, (2, 3), rng=rng),
                           root / "c.ckpt")
     files["attention"] = (root / "a.ckpt").read_bytes()

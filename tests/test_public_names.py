@@ -1,5 +1,15 @@
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
+
+from globalattn.attention import AttentionModel
+from globalattn.classifier import ClassifierModel
+from globalattn.config import load_kv_file
+from globalattn.gradcheck import finite_diff_grad, grad_discrepancy
+from globalattn.pipelinecheck import full_pipeline_gradcheck
+from globalattn.training import TrainReport
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "globalattn"
@@ -48,3 +58,19 @@ def test_every_public_name_is_used_by_a_program():
             if path.name != "__init__.py":
                 used |= refs
     assert public - used == set(KEPT)
+
+
+def test_defaults_have_one_home():
+    # each default lives where users set it: the architecture in
+    # TrainConfig, the gradient check's instance in the CLI, its step and
+    # tolerance in pipelinecheck; these take every value from their callers
+    for taker in (AttentionModel, ClassifierModel, full_pipeline_gradcheck,
+                  finite_diff_grad, grad_discrepancy, load_kv_file,
+                  TrainReport):
+        defaulted = [p.name
+                     for p in inspect.signature(taker).parameters.values()
+                     if p.default is not p.empty]
+        assert defaulted == [], taker.__name__
+    # the architecture keywords go to TrainConfig, which knows no other
+    with pytest.raises(TypeError, match="hidden_kernels"):
+        full_pipeline_gradcheck(8, 8, 2, 0, 4, hidden_kernels=5)

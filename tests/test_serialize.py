@@ -53,6 +53,17 @@ def test_write_gten_writes_the_bytes_of_gten_bytes(tmp_path, arr):
     assert path.read_bytes() == gten_bytes_reference(arr)
 
 
+@pytest.mark.parametrize("arr", [np.zeros(0), np.zeros((2, 0))],
+                         ids=["empty", "zero-width"])
+def test_write_gten_refuses_a_zero_dim_and_keeps_the_old_file(tmp_path, arr):
+    # the reader refuses a zero dim, so the writer must not write one
+    path = tmp_path / "t.gten"
+    write_gten(path, np.ones(2))
+    with pytest.raises(DataFormatError, match="zero dimension in dims field"):
+        write_gten(path, arr)
+    assert np.array_equal(read_gten(path), np.ones(2))
+
+
 def test_write_gten_refusing_a_value_writes_no_file(tmp_path):
     path = tmp_path / "t.gten"
     with pytest.raises(DataFormatError, match="float32 range"):
@@ -90,7 +101,8 @@ def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
     np.ones((1, 1, 2, 2)),
     [np.ones((1, 2, 2)), np.ones((1, 2, 3))],
     [np.ones((1, 2, 2)), np.full((1, 2, 2), np.nan)],
-], ids=["one-too-many", "one-too-few", "shapes-differ", "nan"])
+    np.ones((2, 0, 2, 2)),
+], ids=["one-too-many", "one-too-few", "shapes-differ", "nan", "zero-extent"])
 def test_save_dataset_refusing_its_images_keeps_the_old_file(tmp_path, images):
     stem = tmp_path / "d"
     save_dataset(stem, np.zeros((2, 1, 2, 2)), [0, 1], 2)
@@ -118,7 +130,7 @@ WRITERS = {
     "save_dataset": lambda d: lambda v: save_dataset(
         d / "d", np.full((2, 1, 2, 2), v), [0, 1], 2),
     "export_attention_map": lambda d: lambda v: export_attention_map(
-        np.arange(4.0).reshape(2, 2) ** v, d / "m"),
+        np.arange(4.0).reshape(1, 1, 2, 2) ** v, d / "m"),
     "manifest": _manifest_writer,
 }
 
@@ -404,7 +416,8 @@ def test_checkpoint_trailing_garbage(tmp_path):
 
 MODELS = {
     AttentionModel: lambda: AttentionModel(
-        "pixel_cnn", 2, 4, 4, channels=3, rng=np.random.default_rng(0)),
+        "pixel_cnn", 2, 4, 4, channels=3, hidden_kernel=3, depth=2,
+        last_kernel=1, dense_connections=False, rng=np.random.default_rng(0)),
     ClassifierModel: lambda: ClassifierModel(
         1, 8, 8, 3, (4, 8), rng=np.random.default_rng(0)),
 }
@@ -520,3 +533,5 @@ def test_image_batch_invariants():
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(ContractError):
         ImageBatch(bad, [0], num_classes=1)
+    with pytest.raises(ContractError, match="zero extent"):
+        ImageBatch(np.zeros((1, 0, 4, 4)), [0], num_classes=2)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from globalattn import training
-from globalattn.attention import AttentionModel, build_pixel_representation
 from globalattn.classifier import ClassifierModel, classifier_forward
 from globalattn.datasets import ImageBatch
 from globalattn.errors import ConfigError, ContractError, DivergenceError
@@ -22,9 +21,10 @@ from globalattn.optim import Adam
 from globalattn.seeding import CLASSIFIER_INIT, SHUFFLE, rng_for
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.tensor import GradientTape, Tensor, backward, softmax_cross_entropy
-from globalattn.training import (TrainConfig, compute_cost, evaluate_at_epochs,
-                                 load_train_config, rank_epochs, run_protocol,
-                                 select_epochs_cv, sweep, sweep_csv_text, train)
+from globalattn.training import (TrainConfig, build_models, compute_cost,
+                                 evaluate_at_epochs, load_train_config,
+                                 rank_epochs, run_protocol, select_epochs_cv,
+                                 sweep, sweep_csv_text, train)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,10 +53,8 @@ def tiny_cfg(**kw):
 
 def test_cost_none_mode_zero_lambda_is_plain_cross_entropy():
     tr, _, _ = tiny_sets()
-    attention = AttentionModel("none", tr.n * tr.c, tr.w, tr.h)
-    classifier = ClassifierModel(1, tr.w, tr.h, 3, (4,),
-                                 rng=np.random.default_rng(1))
-    p = build_pixel_representation(tr)
+    attention, classifier, p = build_models(
+        tr, tiny_cfg(attention_mode="none"))
     xb = Tensor(tr.images[:8])
     cost = compute_cost(xb, tr.labels[:8], attention, classifier, p, 0.0)
     plain = softmax_cross_entropy(classifier_forward(classifier, xb),
@@ -68,11 +66,8 @@ def test_cost_penalty_isolation_with_single_class():
     # one class forces zero cross-entropy; a frozen half-map costs 0.5
     images = np.random.default_rng(2).standard_normal((4, 1, 8, 8))
     batch = ImageBatch(images, [0, 0, 0, 0], num_classes=1)
-    attention = AttentionModel("pixel_cnn", 4, 8, 8, channels=2,
-                               rng=np.random.default_rng(3))
-    classifier = ClassifierModel(1, 8, 8, 1, (4,),
-                                 rng=np.random.default_rng(4))
-    p = build_pixel_representation(batch)
+    attention, classifier, p = build_models(
+        batch, TrainConfig(channels=2, stages=(4,), seed=3))
     half_map = Tensor(np.full((1, 1, 8, 8), 0.5))
     cost = compute_cost(Tensor(images), batch.labels, attention, classifier,
                         p, 1.0, weight_map=half_map)
@@ -81,9 +76,8 @@ def test_cost_penalty_isolation_with_single_class():
 
 def test_cost_rejects_spatial_mismatch():
     tr, _, _ = tiny_sets()
-    attention = AttentionModel("none", tr.n * tr.c, tr.w, tr.h)
-    classifier = ClassifierModel(1, tr.w, tr.h, 3, (4,),
-                                 rng=np.random.default_rng(5))
+    attention, classifier, _ = build_models(
+        tr, tiny_cfg(attention_mode="none"))
     bad_p = Tensor(np.zeros((1, tr.n, tr.w, tr.h + 2)))
     with pytest.raises(ContractError):
         compute_cost(Tensor(tr.images[:4]), tr.labels[:4], attention,
