@@ -34,6 +34,7 @@ from .tensor import (Tensor, concat_channels, conv2d, conv_params, l1_mean,
 __all__ = [
     "MODES",
     "AttentionModel",
+    "check_attention_arch",
     "build_pixel_representation",
     "attention_forward",
     "attention_l1_penalty",
@@ -52,6 +53,23 @@ def build_pixel_representation(batch: ImageBatch) -> Tensor:
     """
     n, c, w, h = batch.images.shape
     return Tensor(batch.images.reshape(1, n * c, w, h))
+
+
+def check_attention_arch(mode: str, channels: int, hidden_kernel: int,
+                         depth: int, last_kernel: int) -> None:
+    """Raise :class:`ConfigError` unless ``mode`` is one of :data:`MODES`,
+    there are ``channels`` >= 1 hidden channels and ``depth`` >= 2 conv
+    layers, and both kernels are odd and >= 1."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if channels < 1:
+        raise ConfigError(f"channels must be >= 1, got {channels}")
+    if depth < 2:
+        raise ConfigError(f"depth must be >= 2, got {depth}")
+    for name, k in (("hidden_kernel", hidden_kernel),
+                    ("last_kernel", last_kernel)):
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"{name} must be odd and >= 1, got {k}")
 
 
 class AttentionModel:
@@ -80,18 +98,13 @@ class AttentionModel:
                  channels: int, hidden_kernel: int, depth: int,
                  last_kernel: int, dense_connections: bool,
                  rng: np.random.Generator):
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        # the config's rules, as a checkpoint header is outside input
+        check_attention_arch(mode, channels, hidden_kernel, depth,
+                             last_kernel)
         for name, size in (("in_channels", in_channels), ("width", width),
-                           ("height", height), ("channels", channels)):
+                           ("height", height)):
             if size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
-        if depth < 2:
-            raise ConfigError(f"depth must be >= 2, got {depth}")
-        for name, k in (("hidden_kernel", hidden_kernel),
-                        ("last_kernel", last_kernel)):
-            if k < 1 or k % 2 == 0:
-                raise ConfigError(f"{name} must be odd and >= 1, got {k}")
         self.mode = mode
         self.in_channels = in_channels
         self.width = width

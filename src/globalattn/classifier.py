@@ -16,15 +16,26 @@ import numpy as np
 
 from .config import Field, format_ints, parse_ints
 from .errors import ConfigError, ContractError
-from .tensor import (Tensor, conv2d, conv_params, flatten, linear, maxpool2x2,
-                     relu)
+from .tensor import (Tensor, check_indexable, conv2d, conv_params, flatten,
+                     linear, maxpool2x2, relu)
 
 __all__ = [
     "ClassifierModel",
+    "check_classifier_arch",
     "classifier_forward",
     "predict",
     "accuracy",
 ]
+
+
+def check_classifier_arch(stages: Sequence[int]) -> None:
+    """Raise :class:`ConfigError` unless there is at least one stage and
+    every stage width is >= 1."""
+    if not stages:
+        raise ConfigError("stages must not be empty")
+    for width in stages:
+        if width < 1:
+            raise ConfigError(f"stage width must be >= 1, got {width}")
 
 
 class ClassifierModel:
@@ -43,11 +54,10 @@ class ClassifierModel:
                  num_classes: int, stages: Sequence[int],
                  rng: np.random.Generator):
         stages = tuple(stages)
-        if not stages:
-            raise ConfigError("classifier needs at least one stage")
+        # the config's rules, as a checkpoint header is outside input
+        check_classifier_arch(stages)
         for name, size in (("in_channels", in_channels), ("width", width),
-                           ("height", height), ("num_classes", num_classes),
-                           *(("stage width", s) for s in stages)):
+                           ("height", height), ("num_classes", num_classes)):
             if size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
         factor = 2 ** len(stages)
@@ -65,6 +75,7 @@ class ClassifierModel:
             self.params += conv_params(rng, cout, cin, 3)
             cin = cout
         feat = stages[-1] * (width // factor) * (height // factor)
+        check_indexable((feat, num_classes))
         bound = 1.0 / np.sqrt(feat)
         self.params.append(Tensor(
             rng.uniform(-bound, bound, size=(feat, num_classes)),

@@ -4,8 +4,9 @@ Subcommands: ``gen`` (synthetic dataset), ``preprocess``, ``train``,
 ``gradcheck``, ``sweep``.  Exit codes are stable: 0 success, 2
 configuration error, 3 data-format error, 4 numerical divergence (the
 failing epoch is printed), 5 any other I/O error, such as an output that
-cannot be written.  A ``gradcheck`` that runs but exceeds its tolerance
-exits 1.  Every command writes a run manifest into its output
+cannot be written, 6 out of memory (an array too large to allocate, or to
+index at all).  A ``gradcheck`` that runs but exceeds its tolerance exits
+1.  Every command writes a run manifest into its output
 directory.
 """
 
@@ -35,6 +36,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_IO = 5
+EXIT_MEMORY = 6
 
 
 def _out_dir(path: Path) -> Path:
@@ -236,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def entry() -> None:  # console-script shim

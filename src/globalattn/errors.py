@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto stable exit codes: ConfigError -> 2,
-DataFormatError -> 3, DivergenceError -> 4.  A ContractError is a
-programming error (a bad operand shape, an out-of-range label, an empty
-batch) and has no exit code of its own.
+DataFormatError -> 3, DivergenceError -> 4; beside them, any other OSError
+exits 5 and a MemoryError 6.  A ContractError is a programming error (a
+bad operand shape, an out-of-range label, an empty batch) and has no exit
+code of its own.
 """
 
 

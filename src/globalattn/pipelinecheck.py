@@ -38,6 +38,8 @@ MAX_IMAGES = 4
 L1_COEFF = 0.05
 H = 1e-3
 TOLERANCE = 1e-3
+# the TrainConfig fields that full_pipeline_gradcheck takes from its caller
+_ARCH_KEYS = ("hidden_kernel", "depth", "last_kernel", "dense_connections")
 _REDRAW = 0x3B1B448D3C0633DD  # seeding.stream_tag("gradcheck-redraw")
 # Draws per step size; the CLI's default 8x8, 2-image check clears at h = 1e-3
 # after 215 failed draws, and a larger budget only delays the next step.
@@ -136,9 +138,13 @@ def full_pipeline_gradcheck(width: int, height: int, images: int, seed: int,
 
     ``arch`` sets the pixel classifier's ``hidden_kernel``, ``depth``,
     ``last_kernel`` and ``dense_connections``; each one it leaves out keeps
-    its ``TrainConfig`` default.  Finite differences re-run the whole
-    composite per element, so the instance must stay tiny.
+    its ``TrainConfig`` default, and any other key raises ``TypeError``.
+    Finite differences re-run the whole composite per element, so the
+    instance must stay tiny.
     """
+    for key in arch:
+        if key not in _ARCH_KEYS:
+            raise TypeError(f"unexpected architecture keyword {key!r}")
     if width > MAX_SIZE or height > MAX_SIZE:
         raise ConfigError(
             f"gradcheck instances are capped at {MAX_SIZE}x{MAX_SIZE}, "

@@ -21,6 +21,7 @@ import numpy as np
 from .config import (Field, field_keys, load_kv_file, parse_fields,
                      parse_float, parse_size)
 from .errors import ConfigError, ContractError
+from .tensor import check_indexable
 
 __all__ = [
     "PreprocessSpec",
@@ -53,6 +54,7 @@ def _overlap_matrix(src: int, dst: int) -> np.ndarray:
     length divided by s, so each row sums to one and constants are preserved.
     Built once per size pair and returned read-only, as the cache shares it.
     """
+    check_indexable((dst, src))
     s = src / dst
     m = np.zeros((dst, src))
     for o in range(dst):

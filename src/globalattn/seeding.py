@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -103,6 +105,16 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def check_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` lies in [0, 2^64).
+
+    :func:`mix_seed` keeps only a seed's low 64 bits, so a seed outside
+    would run the streams of one inside while its manifest records another.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
 
 
 def mix_seed(seed: int, stream: int) -> int:

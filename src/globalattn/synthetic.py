@@ -19,7 +19,8 @@ from .config import (Field, field_keys, format_ints, load_kv_file,
                      parse_fields, parse_float, parse_ints)
 from .datasets import ImageBatch
 from .errors import ConfigError, ContractError
-from .seeding import SPLIT, TEMPLATES, mix_seed, rng_for
+from .seeding import SPLIT, TEMPLATES, check_seed, mix_seed, rng_for
+from .tensor import check_indexable
 
 __all__ = [
     "SyntheticSpec",
@@ -71,6 +72,13 @@ class SyntheticSpec:
                 f"relevant_region {self.relevant_region} not inside {self.w}x{self.h}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
+        dim = self.c * (x1 - x0 + 1) * (y1 - y0 + 1)
+        if dim < self.num_classes:
+            raise ConfigError(
+                f"region holds {dim} values, too small for {self.num_classes} "
+                "orthogonal class templates")
+        check_seed(self.seed)
+        check_indexable((self.n, self.c, self.w, self.h))
 
     @property
     def region_slices(self) -> tuple[slice, slice]:
@@ -83,10 +91,6 @@ def _orthogonal_templates(spec: SyntheticSpec) -> np.ndarray:
     x0, y0, x1, y1 = spec.relevant_region
     rw, rh = x1 - x0 + 1, y1 - y0 + 1
     dim = spec.c * rw * rh
-    if dim < spec.num_classes:
-        raise ConfigError(
-            f"region holds {dim} values, too small for {spec.num_classes} "
-            "orthogonal class templates")
     rng = rng_for(spec.seed, TEMPLATES)
     raw = rng.standard_normal((spec.num_classes, dim))
     basis = np.empty_like(raw)

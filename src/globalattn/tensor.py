@@ -43,6 +43,7 @@ row-major order.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +66,7 @@ __all__ = [
     "concat_channels",
     "conv2d",
     "conv_params",
+    "check_indexable",
     "maxpool2x2",
     "linear",
     "softmax_cross_entropy",
@@ -387,10 +389,20 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 # convolution / pooling / linear
 # ---------------------------------------------------------------------------
 
+def check_indexable(shape: tuple[int, ...]) -> None:
+    """Raise MemoryError if a float64 array of ``shape`` has more bytes than
+    numpy can index, counted in Python ints, where numpy would raise a
+    ValueError (and ``np.sqrt`` of a fan-in past 64 bits a TypeError)."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a float64 array of shape {shape} is too large "
+                          "to index")
+
+
 def conv_params(rng: np.random.Generator, cout: int, cin: int,
                 k: int) -> list[Tensor]:
     """Trainable ``[kernel, bias]`` of one conv layer: the kernel is drawn
     uniform in +-1/sqrt(cin*k*k), the bias starts at zero."""
+    check_indexable((cout, cin, k, k))
     bound = 1.0 / np.sqrt(cin * k * k)
     return [Tensor(rng.uniform(-bound, bound, size=(cout, cin, k, k)),
                    requires_grad=True),

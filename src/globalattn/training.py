@@ -23,8 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .attention import (AttentionModel, attention_forward,
-                        attention_l1_penalty, build_pixel_representation)
-from .classifier import ClassifierModel, accuracy, classifier_forward, predict
+                        attention_l1_penalty, build_pixel_representation,
+                        check_attention_arch)
+from .classifier import (ClassifierModel, accuracy, check_classifier_arch,
+                         classifier_forward, predict)
 from .config import (Field, field_keys, format_bool, format_fields,
                      format_ints, load_kv_file, parse_bool, parse_fields,
                      parse_float, parse_ints)
@@ -32,7 +34,7 @@ from .datasets import ImageBatch
 from .errors import ConfigError, ContractError, DivergenceError
 from .optim import Adam
 from .seeding import (ATTENTION_INIT, CLASSIFIER_INIT, CV_FOLDS, SHUFFLE,
-                      rng_for)
+                      check_seed, rng_for)
 from .tensor import (GradientTape, Tensor, add, backward, broadcast_mul,
                      scale, softmax_cross_entropy)
 
@@ -59,7 +61,9 @@ class TrainConfig:
 
     Defaults are desk-scale: 60 total epochs with cut-off 15 and 5 selected
     epochs keep roughly the 250/60/30 proportions of full-scale runs while
-    finishing in seconds.
+    finishing in seconds.  Every value, the architecture included, is
+    checked when the config is made; only ``cv_folds`` and ``top_epochs``
+    wait for :func:`select_epochs_cv`, the one protocol that reads them.
     """
 
     channels: int = 8              # hidden channels K of the pixel classifier
@@ -116,8 +120,13 @@ class TrainConfig:
         if self.eval_protocol not in PROTOCOLS:
             raise ConfigError(
                 f"eval_protocol must be one of {PROTOCOLS}, got {self.eval_protocol!r}")
-        if not self.stages:
-            raise ConfigError("stages must not be empty")
+        if self.weight_decay < 0:
+            raise ConfigError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_seed(self.seed)
+        check_attention_arch(self.attention_mode, self.channels,
+                             self.hidden_kernel, self.depth, self.last_kernel)
+        check_classifier_arch(self.stages)
 
 
 @dataclass

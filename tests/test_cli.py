@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from globalattn import attention, cli, manifest
+from globalattn import attention, cli, manifest, training
 from globalattn.cli import main
 from globalattn.config import parse_kv_text
 from globalattn.datasets import load_dataset, save_dataset
@@ -583,6 +583,83 @@ def test_preprocess_stats_that_overflow_exit_2_before_any_write(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+def one_line(err):
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("train", "weight_decay = -1"), ("train", "seed = -1"),
+    ("train", f"seed = {2 ** 64}"), ("gen", "seed = -1"),
+    ("gen", f"seed = {2 ** 70}")],
+    ids=["train-weight_decay", "train-seed=-1", "train-seed=2^64",
+         "gen-seed=-1", "gen-seed=2^70"])
+def test_value_out_of_range_exits_2_before_any_output(tmp_path, capsys,
+                                                     command, setting):
+    if command == "gen":
+        args = gen_args(tmp_path, with_setting(SYNTH_SPEC, setting))
+    else:
+        args = train_args(tmp_path, with_setting(TRAIN_CFG, setting))
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert one_line(err) and setting.split()[0] in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_refuses_a_bad_architecture_before_out_or_data(tmp_path,
+                                                             capsys):
+    cfg = write(tmp_path / "train.cfg", with_setting(TRAIN_CFG, "K = 0"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--data", str(tmp_path / "none"),
+                 "--out", str(out)]) == 2
+    assert "channels must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_bad_cell_before_the_first_trains(tmp_path, capsys,
+                                                          monkeypatch):
+    calls = []
+    real_train = training.train
+    monkeypatch.setattr(training, "train",
+                        lambda *a: calls.append(a) or real_train(*a))
+    args = sweep_args(tmp_path, grid_text="K = 4,0\nlambda = 0.03\nE = 2\n")
+    assert main(["sweep", *args]) == 2
+    assert "channels must be >= 1, got 0" in capsys.readouterr().err
+    assert calls == []
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+TOO_LARGE = 2 ** 70  # an extent no array can index
+ABSURD_SIZES = [
+    ("train", f"K = {TOO_LARGE}"),
+    ("train", f"hidden_kernel = {2 ** 61 + 1}"),
+    ("train", f"last_kernel = {2 ** 61 + 1}"),
+    ("train", f"stages = 4,{TOO_LARGE}"),
+    ("sweep", f"K = {TOO_LARGE}"),
+    ("gen", f"W = {TOO_LARGE}"),
+    ("preprocess", f"target_size = {TOO_LARGE}x4"),
+]
+
+
+@pytest.mark.parametrize("command, setting", ABSURD_SIZES,
+                         ids=[f"{c}-{s.split()[0]}" for c, s in ABSURD_SIZES])
+def test_size_too_large_to_index_exits_6_with_one_line(tmp_path, capsys,
+                                                       command, setting):
+    # check_indexable refuses each shape before numpy sees it, so nothing
+    # is allocated
+    if command == "gen":
+        args = gen_args(tmp_path, with_setting(SYNTH_SPEC, setting))
+    elif command == "preprocess":
+        args = preprocess_args(tmp_path, with_setting(IDENTITY_PRE, setting))
+    elif command == "train":
+        args = train_args(tmp_path, with_setting(TRAIN_CFG, setting))
+    else:
+        args = sweep_args(tmp_path, grid_text=f"{setting}\nlambda = 0.03\n"
+                                              "E = 2\n")
+    assert main([command, *args]) == cli.EXIT_MEMORY
+    err = capsys.readouterr().err
+    assert one_line(err) and err.startswith("out of memory: "), err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
@@ -800,6 +877,10 @@ def disk_full(src, dst):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
 
 
+def out_of_memory(*args):
+    raise MemoryError("Unable to allocate 1.57 TiB")
+
+
 # (command, documented exit code, tmp_path -> arguments that produce it)
 EXIT_CODES = [
     ("gen", 0, gen_args),
@@ -815,6 +896,7 @@ EXIT_CODES = [
     # exit 1 is a check that fails: this row runs with a faulty backward
     ("gradcheck", 1, lambda t: []),
     ("gradcheck", 2, lambda t: ["--size", "8by8"]),
+    ("gradcheck", 2, lambda t: ["--seed", "-1"]),
     ("sweep", 0, sweep_args),
     ("sweep", 2, lambda t: sweep_args(t, grid_text="K = 4\n")),
     ("sweep", 2, lambda t: [*sweep_args(t), "--jobs", "0"]),
@@ -825,6 +907,9 @@ EXIT_CODES = [
     ("preprocess", 5, preprocess_args),
     ("train", 5, train_args),
     ("sweep", 5, sweep_args),
+    # exit 6 is an allocation that fails: this row's first draw raises
+    # MemoryError, as numpy's does when it cannot allocate
+    ("train", 6, train_args),
 ]
 
 
@@ -847,10 +932,15 @@ def test_documented_exit_code(tmp_path, monkeypatch, capsys, command, code,
         monkeypatch.setattr(attention, "relu", relu_ignoring_its_mask)
     if code == cli.EXIT_IO:
         monkeypatch.setattr(os, "replace", disk_full)
+    if code == cli.EXIT_MEMORY:
+        monkeypatch.setattr(attention, "conv_params", out_of_memory)
     assert main(argv) == code
     assert not list(tmp_path.rglob("*.tmp"))
     if code == cli.EXIT_IO:
         assert capsys.readouterr().err.startswith("I/O error: [Errno 28]")
+    if code == cli.EXIT_MEMORY:
+        assert (capsys.readouterr().err
+                == "out of memory: Unable to allocate 1.57 TiB\n")
 
 
 def a_file(tmp_path):

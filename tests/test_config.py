@@ -78,3 +78,62 @@ def test_field_table_covers_every_record_field(record):
     assert {f.attr for f in record.FIELDS} == names
     keys = [f.key for f in record.FIELDS]
     assert len(keys) == len(set(keys))
+
+
+# every architecture rule: (the TrainConfig fields that break it, the message)
+ARCH_RULES = [
+    ({"attention_mode": "bogus"}, "mode must be one of"),
+    ({"channels": 0}, "channels must be >= 1, got 0"),
+    ({"channels": -3}, "channels must be >= 1, got -3"),
+    ({"depth": 1}, "depth must be >= 2, got 1"),
+    ({"hidden_kernel": 2}, "hidden_kernel must be odd and >= 1, got 2"),
+    ({"hidden_kernel": -1}, "hidden_kernel must be odd and >= 1, got -1"),
+    ({"last_kernel": 0}, "last_kernel must be odd and >= 1, got 0"),
+    ({"last_kernel": 4}, "last_kernel must be odd and >= 1, got 4"),
+    ({"stages": ()}, "stages must not be empty"),
+    ({"stages": (4, 0)}, "stage width must be >= 1, got 0"),
+]
+
+
+def build_arch(cfg_fields):
+    """Both models, built straight from the TrainConfig default architecture
+    with ``cfg_fields`` put in, as a checkpoint header could spell it."""
+    arch = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    arch.update(cfg_fields)
+    rng = np.random.default_rng(0)
+    AttentionModel(arch["attention_mode"], 4, 8, 8, arch["channels"],
+                   arch["hidden_kernel"], arch["depth"], arch["last_kernel"],
+                   arch["dense_connections"], rng)
+    ClassifierModel(1, 8, 8, 3, arch["stages"], rng)
+
+
+@pytest.mark.parametrize("fields, message", ARCH_RULES,
+                         ids=[f"{key}={value}" for fields, _ in ARCH_RULES
+                              for key, value in fields.items()])
+def test_every_architecture_rule_runs_when_the_config_is_made(fields,
+                                                              message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**fields)
+    # a checkpoint header is checked by the same rule
+    with pytest.raises(ConfigError, match=message):
+        build_arch(fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"weight_decay": -1.0}, "weight_decay must be >= 0, got -1.0"),
+    ({"weight_decay": -5e-324}, "weight_decay must be >= 0"),
+    ({"seed": -1}, r"seed must lie in \[0, 2\^64\), got -1"),
+    ({"seed": 2 ** 64}, r"seed must lie in \[0, 2\^64\)"),
+    ({"seed": 2 ** 70}, r"seed must lie in \[0, 2\^64\)"),
+], ids=["weight_decay=-1", "weight_decay=-5e-324", "seed=-1", "seed=2^64",
+        "seed=2^70"])
+def test_train_config_refuses_a_negative_weight_decay_or_a_seed_past_64_bits(
+        fields, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**fields)
+
+
+def test_train_config_accepts_the_seed_and_weight_decay_bounds():
+    for fields in ({"weight_decay": 0.0}, {"weight_decay": -0.0},
+                   {"seed": 0}, {"seed": 2 ** 64 - 1}):
+        TrainConfig(**fields)

@@ -98,3 +98,13 @@ def test_gradcheck_with_classifier_convs_one_image_per_chunk(monkeypatch):
                                      channels=2)
     assert lowered and max(lowered) == 1
     assert result.passed, result.errors
+
+
+@pytest.mark.parametrize("extra", [
+    {"lr": 5.0, "l1_coeff": 9.0}, {"attention_mode": "l1_pixel_weights"},
+    {"total_epochs": 3}], ids=["lr", "attention_mode", "total_epochs"])
+def test_gradcheck_takes_only_the_four_architecture_keywords(extra):
+    # any other TrainConfig field would pass without effect: the check's
+    # lambda is L1_COEFF and its model is always the pixel CNN
+    with pytest.raises(TypeError, match=repr(next(iter(extra)))):
+        full_pipeline_gradcheck(8, 8, 2, 0, 4, **extra)

@@ -87,6 +87,23 @@ def test_region_must_lie_inside_image():
         make_spec(relevant_region=(2, 2, 8, 5))
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_seed_outside_64_bits_is_refused(seed):
+    # mix_seed keeps the low 64 bits, so -1 would run the streams of 2^64 - 1
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\^64\)"):
+        make_spec(seed=seed)
+
+
+def test_seed_range_bounds_are_accepted():
+    make_spec(seed=0)
+    make_spec(seed=2 ** 64 - 1)
+
+
+def test_set_too_large_to_index_is_refused_before_any_draw():
+    with pytest.raises(MemoryError, match="too large to index"):
+        make_spec(w=2 ** 61, relevant_region=(0, 0, 1, 1))
+
+
 def test_split_is_seeded_shuffle():
     batch, _ = generate_synthetic(make_spec(n=20))
     tr_a, te_a = split_train_test(batch, 0.8, seed=5)
