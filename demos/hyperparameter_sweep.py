@@ -9,7 +9,7 @@ Run: python3 demos/hyperparameter_sweep.py
 """
 
 from globalattn import SyntheticSpec, TrainConfig, generate_synthetic, split_train_test
-from globalattn.training import sweep, sweep_csv_text
+from globalattn.training import grid_configs, sweep, sweep_csv_text
 
 # a faint signal in a small rectangle, so the grid cells actually differ
 spec = SyntheticSpec(n=96, c=1, w=16, h=16, relevant_region=(6, 6, 9, 9),
@@ -20,10 +20,9 @@ train_set, test_set = split_train_test(batch, 0.75, seed=3)
 
 base = TrainConfig(total_epochs=12, cutoff_epoch=4, batch_size=12,
                    stages=(8,), seed=3)
-rows = sweep(train_set, test_set, base,
-             k_values=[4, 8],
-             lambda_values=[0.1, 0.01],
-             e_values=[4, 12])
+cells = grid_configs(base, k_values=[4, 8], lambda_values=[0.1, 0.01],
+                     e_values=[4, 12])
+rows = sweep(train_set, test_set, cells, jobs=1)
 
 print(sweep_csv_text(rows), end="")
 best = max(rows, key=lambda r: r[3])

@@ -25,8 +25,8 @@ from .preprocess import apply_pipeline, load_preprocess_spec
 from .serialize import save_model_checkpoint, write_file, write_gten
 from .synthetic import (class_labels, generate_synthetic, load_synthetic_spec,
                         relevance_mask, split_indices)
-from .training import (_check_compatible, config_kv, load_train_config, sweep,
-                       sweep_csv_text, train)
+from .training import (_check_compatible, config_kv, grid_configs,
+                       load_train_config, sweep, sweep_csv_text, train)
 from .config import (Field, field_keys, load_kv_file, parse_fields,
                      parse_float, parse_ints, parse_size)
 
@@ -155,13 +155,13 @@ _GRID_FIELDS = (
 def _cmd_sweep(args) -> int:
     cfg = load_train_config(args.config)
     grid = load_kv_file(args.grid, field_keys(_GRID_FIELDS))
-    values = parse_fields(_GRID_FIELDS, grid, required=True)
+    cells = grid_configs(cfg, **parse_fields(_GRID_FIELDS, grid, required=True))
     out_csv = Path(args.out)
     if out_csv.is_dir():
         raise ConfigError(f"--out {out_csv} is a directory, not a CSV path")
     _out_dir(out_csv.parent)
     train_set, test_set = _load_splits(Path(args.data))
-    rows = sweep(train_set, test_set, cfg, **values, jobs=args.jobs)
+    rows = sweep(train_set, test_set, cells, args.jobs)
     grid_kv = {f"grid.{f.key}": grid[f.key] for f in _GRID_FIELDS}
     manifest = RunManifest(out_csv.with_name(out_csv.name + ".manifest.txt"),
                            "sweep", {**config_kv(cfg), **grid_kv}, cfg.seed)

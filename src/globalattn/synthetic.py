@@ -160,6 +160,7 @@ def split_indices(n: int, train_fraction: float,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Train and test indices of a seeded shuffle of ``range(n)``; the train
     part gets the first floor(n * fraction)."""
+    check_seed(seed)
     if not 0 < train_fraction < 1:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     perm = rng_for(seed, SPLIT).permutation(n)

@@ -47,6 +47,7 @@ __all__ = [
     "select_epochs_cv",
     "evaluate_at_epochs",
     "run_protocol",
+    "grid_configs",
     "sweep",
     "sweep_csv_text",
     "load_train_config",
@@ -393,28 +394,35 @@ def run_protocol(train_set: ImageBatch, test_set: ImageBatch,
                  cfg: TrainConfig) -> tuple[float, float, list[int]]:
     """Evaluate per the configured protocol: (mean, std, epochs used).
 
-    ``simple_holdout`` reports the final epoch's test accuracy with std 0;
-    ``cv_epoch_selection`` picks epochs by cross-validation first.
+    Both report one retrain: ``simple_holdout`` its final epoch (std 0),
+    ``cv_epoch_selection`` the epochs that cross-validation picks.
     """
-    if cfg.eval_protocol == "simple_holdout":
-        report = train(train_set, test_set, cfg)
-        return report.rows[-1].test_acc, 0.0, [cfg.total_epochs]
-    epochs = select_epochs_cv(train_set, cfg)
+    epochs = ([cfg.total_epochs] if cfg.eval_protocol == "simple_holdout"
+              else select_epochs_cv(train_set, cfg))
     mean, std = evaluate_at_epochs(train_set, test_set, cfg, epochs)
     return mean, std, epochs
 
 
-def _sweep_cell(args):
-    train_set, test_set, cfg = args
+def grid_configs(base_cfg: TrainConfig, k_values: list[int],
+                 lambda_values: list[float], e_values: list[int]
+                 ) -> list[TrainConfig]:
+    """The checked (K, lambda, E) cells over ``base_cfg``, in grid order."""
+    cells = itertools.product(k_values, lambda_values, e_values)
+    return [replace(base_cfg, channels=k, l1_coeff=lam, cutoff_epoch=e)
+            for k, lam, e in cells]
+
+
+def _sweep_row(train_set: ImageBatch, test_set: ImageBatch, cfg: TrainConfig
+               ) -> tuple[int, float, int, float, float]:
+    # module-level, so a pool can send it even when run_protocol is traced
     mean, std, _ = run_protocol(train_set, test_set, cfg)
-    return mean, std
+    return cfg.channels, cfg.l1_coeff, cfg.cutoff_epoch, mean, std
 
 
-def sweep(train_set: ImageBatch, test_set: ImageBatch, base_cfg: TrainConfig,
-          k_values: list[int], lambda_values: list[float],
-          e_values: list[int], jobs: int = 1
+def sweep(train_set: ImageBatch, test_set: ImageBatch,
+          cells: list[TrainConfig], jobs: int
           ) -> list[tuple[int, float, int, float, float]]:
-    """Evaluate every (K, lambda, E) grid cell; rows follow grid order.
+    """Evaluate every cell of :func:`grid_configs`; rows follow ``cells``.
 
     With ``jobs`` > 1 and more than one cell, the cells run in a process
     pool of ``min(jobs, cells)`` workers, which only then is imported;
@@ -422,22 +430,13 @@ def sweep(train_set: ImageBatch, test_set: ImageBatch, base_cfg: TrainConfig,
     """
     if jobs < 1:
         raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
-    cells = []
-    for k, lam, e in itertools.product(k_values, lambda_values, e_values):
-        cfg = replace(base_cfg, channels=k, l1_coeff=lam, cutoff_epoch=e)
-        cells.append((k, lam, e, cfg))
+    args = (itertools.repeat(train_set), itertools.repeat(test_set), cells)
     workers = min(jobs, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _sweep_cell,
-                [(train_set, test_set, cfg) for _, _, _, cfg in cells]))
-    else:
-        results = [_sweep_cell((train_set, test_set, cfg))
-                   for _, _, _, cfg in cells]
-    return [(k, lam, e, mean, std)
-            for (k, lam, e, _), (mean, std) in zip(cells, results)]
+            return list(pool.map(_sweep_row, *args))
+    return list(map(_sweep_row, *args))
 
 
 def sweep_csv_text(rows: list[tuple[int, float, int, float, float]]) -> str:

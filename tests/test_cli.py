@@ -617,15 +617,21 @@ def test_train_refuses_a_bad_architecture_before_out_or_data(tmp_path,
 
 def test_sweep_refuses_a_bad_cell_before_the_first_trains(tmp_path, capsys,
                                                           monkeypatch):
+    # the cells are checked before --out's directory is made or --data read
     calls = []
-    real_train = training.train
-    monkeypatch.setattr(training, "train",
-                        lambda *a: calls.append(a) or real_train(*a))
-    args = sweep_args(tmp_path, grid_text="K = 4,0\nlambda = 0.03\nE = 2\n")
-    assert main(["sweep", *args]) == 2
-    assert "channels must be >= 1, got 0" in capsys.readouterr().err
+    for owner, name in ((cli, "load_dataset"), (training, "train")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, real=real: calls.append(a) or real(*a))
+    cfg = write(tmp_path / "train.cfg", TRAIN_CFG)
+    grid = write(tmp_path / "grid.cfg", "K = 4,0\nlambda = 0.03\nE = 2\n")
+    out = tmp_path / "s3" / "out.csv"
+    assert main(["sweep", "--config", cfg, "--grid", grid,
+                 "--data", str(tmp_path / "nodata"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert one_line(err) and "channels must be >= 1, got 0" in err, err
+    assert not out.parent.exists()
     assert calls == []
-    assert not list(tmp_path.glob("out.csv*"))
 
 
 TOO_LARGE = 2 ** 70  # an extent no array can index

@@ -3,7 +3,8 @@ import pytest
 
 from globalattn.errors import ConfigError, ContractError
 from globalattn.synthetic import (SyntheticSpec, generate_synthetic,
-                                  load_synthetic_spec, split_train_test)
+                                  load_synthetic_spec, split_indices,
+                                  split_train_test)
 
 
 def make_spec(**kw):
@@ -102,6 +103,22 @@ def test_seed_range_bounds_are_accepted():
 def test_set_too_large_to_index_is_refused_before_any_draw():
     with pytest.raises(MemoryError, match="too large to index"):
         make_spec(w=2 ** 61, relevant_region=(0, 0, 1, 1))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_split_seed_outside_64_bits_is_refused(seed):
+    batch, _ = generate_synthetic(make_spec(n=10))
+    for split in (lambda: split_indices(10, 0.8, seed),
+                  lambda: split_train_test(batch, 0.8, seed)):
+        with pytest.raises(ConfigError,
+                           match=r"seed must lie in \[0, 2\^64\)"):
+            split()
+
+
+def test_split_seed_range_bounds_are_accepted():
+    for seed in (0, 2 ** 64 - 1):
+        train_idx, test_idx = split_indices(10, 0.8, seed)
+        assert sorted([*train_idx, *test_idx]) == list(range(10))
 
 
 def test_split_is_seeded_shuffle():

@@ -22,9 +22,10 @@ from globalattn.seeding import CLASSIFIER_INIT, SHUFFLE, rng_for
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.tensor import GradientTape, Tensor, backward, softmax_cross_entropy
 from globalattn.training import (TrainConfig, build_models, compute_cost,
-                                 evaluate_at_epochs, load_train_config,
-                                 rank_epochs, run_protocol, select_epochs_cv,
-                                 sweep, sweep_csv_text, train)
+                                 evaluate_at_epochs, grid_configs,
+                                 load_train_config, rank_epochs, run_protocol,
+                                 select_epochs_cv, sweep, sweep_csv_text,
+                                 train)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -428,10 +429,40 @@ def test_evaluate_rejects_bad_epoch_lists():
 # sweep
 # ---------------------------------------------------------------------------
 
+def test_holdout_reports_the_final_epoch_of_one_training(monkeypatch):
+    tr, te, _ = tiny_sets()
+    cfg = tiny_cfg()
+    final = train(tr, te, cfg).rows[-1].test_acc
+    calls = []
+    real_train = training.train
+    monkeypatch.setattr(training, "train",
+                        lambda *a: calls.append(a) or real_train(*a))
+    result = run_protocol(tr, te, cfg)
+    assert repr(result) == repr((final, 0.0, [cfg.total_epochs]))
+    assert len(calls) == 1
+
+
+def test_grid_configs_follow_grid_order():
+    cells = grid_configs(tiny_cfg(), [2, 4], [0.1, 0.01], [1, 2])
+    assert [(c.channels, c.l1_coeff, c.cutoff_epoch) for c in cells] == [
+        (k, lam, e) for k in (2, 4) for lam in (0.1, 0.01) for e in (1, 2)]
+    assert {c.stages for c in cells} == {tiny_cfg().stages}
+
+
+@pytest.mark.parametrize("grid, message", [
+    (([4, 0], [0.03], [2]), "channels must be >= 1, got 0"),
+    (([4], [0.03, -1.0], [2]), "lambda must be >= 0"),
+    (([4], [0.03], [2, 7]), r"E must lie in \[0, 6\]"),
+], ids=["K", "lambda", "E"])
+def test_grid_configs_refuse_a_bad_cell_before_returning_any(grid, message):
+    with pytest.raises(ConfigError, match=message):
+        grid_configs(tiny_cfg(), *grid)
+
+
 def test_single_cell_sweep_equals_direct_evaluation():
     tr, te, _ = tiny_sets()
     cfg = tiny_cfg()
-    rows = sweep(tr, te, cfg, [4], [0.03], [2])
+    rows = sweep(tr, te, grid_configs(cfg, [4], [0.03], [2]), 1)
     mean, std, _ = run_protocol(tr, te, cfg)
     assert rows == [(4, 0.03, 2, mean, std)]
 
@@ -439,16 +470,17 @@ def test_single_cell_sweep_equals_direct_evaluation():
 def test_sweep_row_count_is_grid_product():
     tr, te, _ = tiny_sets()
     cfg = tiny_cfg(total_epochs=3, cutoff_epoch=1)
-    rows = sweep(tr, te, cfg, [2, 4], [0.1, 0.01, 0.001], [1])
+    rows = sweep(tr, te, grid_configs(cfg, [2, 4], [0.1, 0.01, 0.001], [1]), 1)
     assert len(rows) == 6
     assert [r[:3] for r in rows][0] == (2, 0.1, 1)
 
 
 def test_sweep_rerun_produces_identical_csv():
     tr, te, _ = tiny_sets()
-    cfg = tiny_cfg(total_epochs=3, cutoff_epoch=1)
-    a = sweep_csv_text(sweep(tr, te, cfg, [2, 4], [0.03], [1]))
-    b = sweep_csv_text(sweep(tr, te, cfg, [2, 4], [0.03], [1]))
+    cells = grid_configs(tiny_cfg(total_epochs=3, cutoff_epoch=1),
+                         [2, 4], [0.03], [1])
+    a = sweep_csv_text(sweep(tr, te, cells, 1))
+    b = sweep_csv_text(sweep(tr, te, cells, 1))
     assert a == b
     assert a.splitlines()[0] == "K,lambda,E,mean_acc,std_acc"
 
@@ -463,15 +495,14 @@ def test_sweep_below_one_job_is_a_config_error_before_any_training(
 
     monkeypatch.setattr(training, "run_protocol", no_training)
     with pytest.raises(ConfigError, match="jobs"):
-        sweep(tr, te, tiny_cfg(), [2, 4], [0.03], [1], jobs=jobs)
+        sweep(tr, te, grid_configs(tiny_cfg(), [2, 4], [0.03], [1]), jobs)
 
 
 def test_sweep_parallel_jobs_match_serial():
     tr, te, _ = tiny_sets()
-    cfg = tiny_cfg(total_epochs=2, cutoff_epoch=1)
-    serial = sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=1)
-    parallel = sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=2)
-    assert serial == parallel
+    cells = grid_configs(tiny_cfg(total_epochs=2, cutoff_epoch=1),
+                         [2, 4], [0.03], [1])
+    assert sweep(tr, te, cells, 1) == sweep(tr, te, cells, 2)
 
 
 def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
@@ -489,15 +520,16 @@ def test_sweep_starts_at_most_one_worker_per_cell(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     tr, te, _ = tiny_sets()
-    cfg = tiny_cfg(total_epochs=2, cutoff_epoch=1)
-    rows = sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=8)
+    cells = grid_configs(tiny_cfg(total_epochs=2, cutoff_epoch=1),
+                         [2, 4], [0.03], [1])
+    rows = sweep(tr, te, cells, 8)
     assert started == [2]
-    assert rows == sweep(tr, te, cfg, [2, 4], [0.03], [1], jobs=1)
+    assert rows == sweep(tr, te, cells, 1)
 
 
 # ---------------------------------------------------------------------------
