@@ -1,7 +1,11 @@
 """Outputs that must stay byte-identical, checked against committed digests.
 
 Each artifact is the bytes a caller sees (a CSV text, a result's repr, a
-weight map's raw bytes) together with the float64 arrays it holds.
+weight map's raw bytes, a file the CLI wrote) together with the float64
+arrays it holds.  The CLI runs ``gen``, ``preprocess``, ``train`` and
+``sweep --jobs 1`` in a temporary directory; each manifest is hashed with
+its ``start_time`` and ``end_time`` lines dropped and its paths made
+relative to that directory.
 ``identity_digests.json`` stores a sha256 per artifact, keyed by the BLAS
 name and version of numpy's build, and a sum and L2 norm per array for
 every build.  On a build with stored digests every artifact must hash the
@@ -17,14 +21,19 @@ commit, with the digests of the build it ran on only:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 
 from globalattn.attention import MODES
+from globalattn.cli import main
+from globalattn.serialize import read_checkpoint, read_gten
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.training import (PROTOCOLS, TrainConfig, grid_configs,
                                  run_protocol, sweep, sweep_csv_text, train)
@@ -37,6 +46,27 @@ SPEC = SyntheticSpec(n=64, c=1, w=8, h=8, relevant_region=(2, 2, 5, 5),
                      num_classes=3, signal_strength=1.2, noise_std=1.0, seed=2)
 CFG = TrainConfig(channels=4, cutoff_epoch=2, total_epochs=4, batch_size=8,
                   stages=(4,), cv_folds=2, top_epochs=2, seed=2)
+
+
+# the CLI's run: 16 train and 4 test images of 10x8, cropped to 8x8, one
+# flipped and standardized, then one train and a two-cell CV sweep
+CLI_FILES = {
+    "synth.cfg": "N = 20\nC = 1\nW = 10\nH = 8\nrelevant_region = 3,2,6,5\n"
+                 "num_classes = 2\nsignal_strength = 2.0\nnoise_std = 1.0\n"
+                 "seed = 5\n",
+    "pre.cfg": "crop_left = 1\ncrop_right = 9\ntarget_size = 8x8\n"
+               "flip_indices = flips.txt\nchannel_stats = 0.5:2\n",
+    "flips.txt": "1\n",
+    "train.cfg": "K = 4\nE = 1\ntotal_epochs = 3\nbatch_size = 4\nstages = 4\n"
+                 "seed = 5\neval_protocol = cv_epoch_selection\ncv_folds = 2\n"
+                 "top_epochs = 2\n",
+    "grid.cfg": "K = 2,4\nlambda = 0.03\nE = 1\n",
+}
+CLI_RUN = ["gen --spec {0}/synth.cfg --out {0}/data",
+           "preprocess --spec {0}/pre.cfg --in {0}/data --out {0}/pre",
+           "train --config {0}/train.cfg --data {0}/pre --out {0}/run",
+           "sweep --config {0}/train.cfg --grid {0}/grid.cfg --data {0}/pre "
+           "--out {0}/sweep/cells.csv --jobs 1"]
 
 
 def blas_build() -> str:
@@ -66,7 +96,43 @@ def artifacts() -> dict[str, tuple[bytes, list[np.ndarray]]]:
         rows = sweep(tr, te, cells, jobs)
         out[f"sweep_csv_text/jobs{jobs}"] = (
             sweep_csv_text(rows).encode(), [np.array(rows, dtype=np.float64)])
+    return out | cli_artifacts()
+
+
+def cli_artifacts() -> dict[str, tuple[bytes, list[np.ndarray]]]:
+    """Every file of :data:`CLI_RUN`, by its path under ``cli/``."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in CLI_FILES.items():
+            (root / name).write_text(text)
+        for command in CLI_RUN:
+            argv = command.format(root).split()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        for path in sorted(root.rglob("*")):
+            if path.is_file() and path.name not in CLI_FILES:
+                name = f"cli/{path.relative_to(root).as_posix()}"
+                out[name] = file_artifact(path, root)
     return out
+
+
+def file_artifact(path: Path, root: Path) -> tuple[bytes, list[np.ndarray]]:
+    """A CLI file's bytes and arrays; a manifest without its times and with
+    its paths relative to ``root``, and no arrays."""
+    raw = path.read_bytes()
+    if path.name.endswith("manifest.txt"):
+        lines = [line for line in raw.decode().splitlines(keepends=True)
+                 if not line.startswith(("start_time", "end_time"))]
+        return "".join(lines).replace(f"{root}/", "").encode(), []
+    if path.suffix == ".gten":
+        return raw, [read_gten(path)]
+    if path.suffix == ".ckpt":
+        return raw, read_checkpoint(path)[1]
+    if path.suffix == ".csv":
+        return raw, [np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=1,
+                                skiprows=int(raw[:1].isalpha()))]
+    return raw, []  # a .meta file or a map's .pgm image
 
 
 def summaries(arrays: list[np.ndarray]) -> list[list[float]]:
