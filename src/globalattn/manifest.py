@@ -2,10 +2,9 @@
 
 Every CLI command writes one flat key-value manifest next to its outputs,
 listing the resolved configuration, the seed, start/end timestamps, and a
-hex-encoded 64-bit FNV-1a checksum per artifact (``seeding.fnv1a64``, a
-vectorised form of the byte-at-a-time loop with the same digests), taken by
-``serialize.write_file`` as it wrote the artifact: no artifact is read back.
-``checksum_file`` is the reader that verifies one.
+hex-encoded 64-bit FNV-1a checksum per artifact (``serialize.digest``),
+taken by ``serialize.write_file`` as it wrote the artifact: no artifact is
+read back.  ``checksum_file`` is the reader that verifies one.
 Replaying the command with the same config and seed reproduces identical
 checksums (timestamps aside).
 """
@@ -16,20 +15,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import format_kv
-from .seeding import _FNV_CHUNK, FNV_OFFSET, fnv1a64
-from .serialize import write_file
+from .serialize import digest, write_file
 
 __all__ = ["checksum_file", "RunManifest"]
 
 
 def checksum_file(path: str | Path) -> str:
-    """Hex 64-bit FNV-1a over the file's bytes, zero-padded to 16 digits,
-    read ``_FNV_CHUNK`` bytes at a time."""
-    h = FNV_OFFSET
+    """The ``serialize.digest`` of the file's bytes, read 64 KiB at a time."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_FNV_CHUNK), b""):
-            h = fnv1a64(chunk, h)
-    return f"{h:016x}"
+        return digest(iter(lambda: fh.read(1 << 16), b""))
 
 
 class RunManifest:

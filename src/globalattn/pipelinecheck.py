@@ -40,7 +40,7 @@ H = 1e-3
 TOLERANCE = 1e-3
 # the TrainConfig fields that full_pipeline_gradcheck takes from its caller
 _ARCH_KEYS = ("hidden_kernel", "depth", "last_kernel", "dense_connections")
-_REDRAW = 0x3B1B448D3C0633DD  # seeding.stream_tag("gradcheck-redraw")
+_REDRAW = 0x3B1B448D3C0633DD  # FNV-1a of "gradcheck-redraw", as in seeding
 # Draws per step size; the CLI's default 8x8, 2-image check clears at h = 1e-3
 # after 215 failed draws, and a larger budget only delays the next step.
 _MAX_REDRAWS = 250

@@ -12,9 +12,9 @@ class's ``FIELDS`` table, enough to rebuild the model before its tensors
 are loaded.
 
 Tensors move through memory one leading-axis slice at a time: the writer
-casts, writes and hashes each slice before it takes the next, and the reader
-checks a header's value count against the bytes the tensor spans before it
-allocates anything, then converts one slice at a time.
+casts, writes and hashes (:func:`digest`, FNV-1a) each slice before it takes
+the next, and the reader checks a header's value count against the bytes the
+tensor spans before it allocates anything, then converts one slice at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .config import format_fields, format_kv, parse_fields, parse_kv_text
 from .errors import ConfigError, ContractError, DataFormatError
-from .seeding import _FNV_CHUNK, FNV_OFFSET, fnv1a64
 
 __all__ = [
+    "digest",
     "atomic_write",
     "write_file",
     "write_gten",
@@ -185,29 +185,110 @@ def atomic_write(path: str | Path):
         raise
 
 
+_MASK64 = (1 << 64) - 1
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+# digest works through its input in blocks of _FNV_CHUNK bytes, and takes
+# each block's dot product _FNV_DOT entries at a time, which keeps its
+# temporaries near 400 KB; _FNV_POWERS[j] is _FNV_PRIME ** (_FNV_CHUNK - j).
+_FNV_CHUNK = 1 << 16
+_FNV_DOT = 1 << 13
+_FNV_POWERS = np.multiply.accumulate(
+    np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
+
+
+def digest(parts: Iterable) -> str:
+    """The 16-digit hex 64-bit FNV-1a digest of the joined byte parts.
+
+    ``parts`` is consumed lazily.  Its bytes are hashed in whole
+    ``_FNV_CHUNK`` blocks (see ``_fnv1a64_chunk``) whatever the sizes of the
+    parts, and every digest equals the byte-at-a-time loop's.
+    """
+    h, carry = _FNV_OFFSET, bytearray()
+    for part in parts:
+        carry += part
+        whole = len(carry) - len(carry) % _FNV_CHUNK
+        with memoryview(carry) as view:
+            for start in range(0, whole, _FNV_CHUNK):
+                h = _fnv1a64_chunk(h, np.frombuffer(
+                    view[start:start + _FNV_CHUNK], dtype=np.uint8))
+        del carry[:whole]
+    if carry:
+        h = _fnv1a64_chunk(h, np.frombuffer(carry, dtype=np.uint8))
+    return f"{h:016x}"
+
+
+def _fnv1a64_chunk(h: int, b: np.ndarray) -> int:
+    """FNV-1a state after feeding the bytes ``b`` to the state ``h``.
+
+    With ``P = _FNV_PRIME`` and ``l = h & 0xFF``, one step ``(h ^ b) * P``
+    equals ``P * (h + d)`` where ``d = (l ^ b) - l``, so over ``m`` bytes
+    ``h_m = P**m * h_0 + sum_i P**(m - i) * d_i  (mod 2**64)``: one wrapping
+    uint64 dot product, once the low bytes ``l_i`` are known.  They follow
+    ``l_{i+1} = ((l_i ^ b_i) * 0xB3) mod 256`` (0xB3 is ``P mod 256``), and
+    are found one bit plane per round, lowest bit first: if ``low`` holds the
+    bits below ``k`` of every ``l_i``, bit ``k`` of ``l_{i+1}`` is bit ``k``
+    of ``l_i`` XOR bit ``k`` of ``(low_i ^ b_i) * 0xB3``, so the plane is a
+    prefix XOR started from bit ``k`` of ``l_0``.
+    """
+    m = b.size
+    l0 = h & 0xFF
+    low = np.zeros(m, dtype=np.uint8)
+    # steps[0] is bit k of l_0 and steps[i + 1] flips it from l_i to
+    # l_{i+1}; the zero tail pads the plane to whole 64-bit words.
+    steps = np.zeros(-(-m // 64) * 64, dtype=np.uint8)
+    flips = steps[1:m]
+    for k in range(8):
+        bit = 1 << k
+        np.bitwise_xor(low[:-1], b[:-1], out=flips)
+        np.multiply(flips, 0xB3, out=flips)
+        np.bitwise_and(flips, bit, out=flips)
+        steps[0] = l0 & bit
+        plane = _prefix_xor(steps, m)
+        np.multiply(plane, bit, out=plane)
+        low |= plane
+    d = (low ^ b).astype(np.int16)
+    d -= low
+    powers = _FNV_POWERS[_FNV_CHUNK - m:]
+    tail = sum(int(np.dot(powers[s:s + _FNV_DOT],
+                          d[s:s + _FNV_DOT].astype(np.int64).view(np.uint64)))
+               for s in range(0, m, _FNV_DOT))
+    return (pow(_FNV_PRIME, m, 1 << 64) * h + tail) & _MASK64
+
+
+def _prefix_xor(bits: np.ndarray, count: int) -> np.ndarray:
+    """First ``count`` inclusive prefix XORs of ``bits != 0``, as 0/1 bytes.
+
+    ``bits.size`` must be a multiple of 64: the bits are packed into 64-bit
+    words, XOR-scanned inside each word by six shifts, and each word is then
+    flipped by the parity of all the words before it.
+    """
+    words = np.packbits(bits, bitorder="little").view("<u8")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    odd = words.view("<i8") >> 63  # all ones where a word's parity is odd
+    words ^= (np.bitwise_xor.accumulate(odd) ^ odd).view(np.uint64)
+    return np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+
+
 def write_file(path: str | Path, parts: Iterable) -> str:
     """Write the byte parts to ``path`` through :func:`atomic_write`; return
-    the 16-digit hex FNV-1a digest of the bytes written.
+    the :func:`digest` of the bytes written.
 
-    ``parts`` is consumed lazily: each part is written and hashed before the
-    next one is made, so a generator of parts is never held whole.  The bytes
-    are hashed in whole ``_FNV_CHUNK`` blocks, whatever the sizes of the
-    parts, which costs what hashing the whole file at once would.  Every
-    file the package writes goes through here.
+    ``parts`` is consumed lazily: each part is written and passed to the
+    digest before the next one is made, so a generator of parts is never
+    held whole.  Every file the package writes goes through here.
     """
-    h, carry = FNV_OFFSET, bytearray()
     with atomic_write(path) as fh:
-        for part in parts:
-            fh.write(part)
-            view = memoryview(part).cast("B")
-            head = _FNV_CHUNK - len(carry)  # the bytes that fill one block
-            carry += view[:head]
-            if len(carry) == _FNV_CHUNK:
-                rest = view[head:]
-                whole = len(rest) - len(rest) % _FNV_CHUNK
-                h = fnv1a64(rest[:whole], fnv1a64(carry, h))
-                carry = bytearray(rest[whole:])
-    return f"{fnv1a64(carry, h):016x}"
+        return digest(_written(fh, parts))
+
+
+def _written(fh, parts: Iterable) -> Iterator:
+    """Yield each of the parts once it is written to ``fh``."""
+    for part in parts:
+        fh.write(part)
+        yield part
 
 
 def write_gten(path: str | Path, slices, n: int | None = None) -> str:

@@ -21,8 +21,6 @@ KEPT = {
                              "train writes",
     "checksum_file": "perfbench/tracing.py patches manifest.checksum_file "
                      "by its name as a string",
-    "stream_tag": "the reference that the literal stream ids written out in "
-                  "seeding.py and pipelinecheck.py are pinned against",
     "mul": "the tests' product of two tensors; removing it would only move "
            "its backward rule into the tests",
 }

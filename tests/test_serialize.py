@@ -243,14 +243,34 @@ def _reads_tensor_bytes(node: ast.AST) -> bool:
             and node.func.attr == "read_bytes")
 
 
+# the FNV-1a offset basis and prime
+FNV_CONSTANTS = {0xCBF29CE484222325, 0x100000001B3}
+
+
+def _names_the_hash(node: ast.AST) -> bool:
+    """Whether a node is code that names the FNV-1a kernel: an identifier
+    with ``fnv`` in it, or the hash's offset or prime as a number.  A
+    docstring or a comment is prose and does not count."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value in FNV_CONSTANTS
+    names = (getattr(node, key, None)
+             for key in ("id", "attr", "name", "asname", "arg", "module"))
+    return any(isinstance(n, str) and "fnv" in n.lower() for n in names)
+
+
 def test_only_serialize_reads_tensor_files():
     # one reader checks every .gten file and checkpoint blob against its
-    # size before it allocates, as one writer writes them all
+    # size before it allocates, as one writer writes them all; and the
+    # digest it records has one owner, which a change of hash touches alone
     package = Path(serialize.__file__).parent
-    readers = {path.name for path in package.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if _reads_tensor_bytes(node)}
+    trees = {path.name: list(ast.walk(ast.parse(path.read_text())))
+             for path in package.glob("*.py")}
+    readers = {name for name, nodes in trees.items()
+               if any(map(_reads_tensor_bytes, nodes))}
+    hashers = {name for name, nodes in trees.items()
+               if any(map(_names_the_hash, nodes))}
     assert readers == {"serialize.py"}
+    assert hashers == {"serialize.py"}
 
 
 @pytest.mark.parametrize("cut", [[], [0, 1, 65535], [3, 65536, 65539, 70000],
