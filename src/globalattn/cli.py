@@ -25,8 +25,9 @@ from .preprocess import apply_pipeline, load_preprocess_spec
 from .serialize import save_model_checkpoint, write_file, write_gten
 from .synthetic import (class_labels, generate_synthetic, load_synthetic_spec,
                         relevance_mask, split_indices)
-from .training import (_check_compatible, config_kv, grid_configs,
-                       load_train_config, sweep, sweep_csv_text, train)
+from .training import (_check_compatible, check_sweep, config_kv,
+                       grid_configs, load_train_config, sweep, sweep_csv_text,
+                       train)
 from .config import (Field, field_keys, load_kv_file, parse_fields,
                      parse_float, parse_ints, parse_size)
 
@@ -156,6 +157,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_train_config(args.config)
     grid = load_kv_file(args.grid, field_keys(_GRID_FIELDS))
     cells = grid_configs(cfg, **parse_fields(_GRID_FIELDS, grid, required=True))
+    check_sweep(cells, args.jobs)
     out_csv = Path(args.out)
     if out_csv.is_dir():
         raise ConfigError(f"--out {out_csv} is a directory, not a CSV path")

@@ -63,8 +63,8 @@ class TrainConfig:
     Defaults are desk-scale: 60 total epochs with cut-off 15 and 5 selected
     epochs keep roughly the 250/60/30 proportions of full-scale runs while
     finishing in seconds.  Every value, the architecture included, is
-    checked when the config is made; only ``cv_folds`` and ``top_epochs``
-    wait for :func:`select_epochs_cv`, the one protocol that reads them.
+    checked when the config is made but ``cv_folds`` and ``top_epochs``,
+    which :func:`check_cv` checks before cross-validation starts.
     """
 
     channels: int = 8              # hidden channels K of the pixel classifier
@@ -349,18 +349,24 @@ def rank_epochs(mean_accuracy, top: int) -> list[int]:
     return [e + 1 for e in order[:top]]
 
 
+def check_cv(cfg: TrainConfig) -> None:
+    """Raise :class:`ConfigError` unless ``cfg`` has two or more folds and
+    ``top_epochs`` in [1, ``total_epochs``]; fold size waits for the data."""
+    if cfg.cv_folds < 2:
+        raise ConfigError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
+    if not 1 <= cfg.top_epochs <= cfg.total_epochs:
+        raise ConfigError(f"top_epochs must lie in [1, {cfg.total_epochs}], "
+                          f"got {cfg.top_epochs}")
+
+
 def select_epochs_cv(train_set: ImageBatch, cfg: TrainConfig) -> list[int]:
     """Rank epochs by mean validation accuracy over ``cfg.cv_folds`` folds.
 
     Returns the ``cfg.top_epochs`` best 1-indexed epochs; ties favor the
     earlier epoch.
     """
+    check_cv(cfg)
     folds, top = cfg.cv_folds, cfg.top_epochs
-    if folds < 2:
-        raise ConfigError(f"cv_folds must be >= 2, got {folds}")
-    if not 1 <= top <= cfg.total_epochs:
-        raise ConfigError(
-            f"top_epochs must lie in [1, {cfg.total_epochs}], got {top}")
     if train_set.n // folds < cfg.batch_size:
         raise ConfigError(
             f"fold size {train_set.n // folds} smaller than one mini-batch "
@@ -419,17 +425,23 @@ def _sweep_row(train_set: ImageBatch, test_set: ImageBatch, cfg: TrainConfig
     return cfg.channels, cfg.l1_coeff, cfg.cutoff_epoch, mean, std
 
 
+def check_sweep(cells: list[TrainConfig], jobs: int) -> None:
+    """Raise :class:`ConfigError` for a sweep rule that needs no data:
+    ``jobs`` >= 1, and :func:`check_cv` for each cross-validated cell."""
+    if jobs < 1:
+        raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
+    for cell in cells:
+        if cell.eval_protocol == "cv_epoch_selection":
+            check_cv(cell)
+
+
 def sweep(train_set: ImageBatch, test_set: ImageBatch,
           cells: list[TrainConfig], jobs: int
           ) -> list[tuple[int, float, int, float, float]]:
-    """Evaluate every cell of :func:`grid_configs`; rows follow ``cells``.
-
-    With ``jobs`` > 1 and more than one cell, the cells run in a process
-    pool of ``min(jobs, cells)`` workers, which only then is imported;
-    ``jobs`` < 1 is a :class:`ConfigError`.
-    """
-    if jobs < 1:
-        raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
+    """Evaluate every cell of :func:`grid_configs`, once :func:`check_sweep`
+    passes; rows follow ``cells``.  With ``jobs`` > 1 and more than one cell,
+    the cells run in a process pool of ``min(jobs, cells)`` workers."""
+    check_sweep(cells, jobs)
     args = (itertools.repeat(train_set), itertools.repeat(test_set), cells)
     workers = min(jobs, len(cells))
     if workers > 1:

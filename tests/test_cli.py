@@ -615,21 +615,36 @@ def test_train_refuses_a_bad_architecture_before_out_or_data(tmp_path,
     assert not out.exists()
 
 
-def test_sweep_refuses_a_bad_cell_before_the_first_trains(tmp_path, capsys,
-                                                          monkeypatch):
-    # the cells are checked before --out's directory is made or --data read
+CV = "eval_protocol = cv_epoch_selection"
+BAD_SWEEPS = [  # K in the grid, config settings, flags, the error
+    ("4,0", [], [], "channels must be >= 1, got 0"),
+    ("4", [], ["--jobs", "0"], "sweep needs jobs >= 1, got 0"),
+    ("4", [CV, "cv_folds = 1"], [], "cv_folds must be >= 2, got 1"),
+    ("4", [CV, "top_epochs = 6"], [], "top_epochs must lie in [1, 5], got 6"),
+]
+
+
+@pytest.mark.parametrize("k, settings, flags, message", BAD_SWEEPS,
+                         ids=["K=0", "jobs=0", "cv_folds=1", "top_epochs=6"])
+def test_sweep_refuses_a_bad_cell_before_the_first_trains(
+        tmp_path, capsys, monkeypatch, k, settings, flags, message):
+    # the cells and jobs are checked before --out's directory is made or
+    # --data read
     calls = []
     for owner, name in ((cli, "load_dataset"), (training, "train")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name,
                             lambda *a, real=real: calls.append(a) or real(*a))
-    cfg = write(tmp_path / "train.cfg", TRAIN_CFG)
-    grid = write(tmp_path / "grid.cfg", "K = 4,0\nlambda = 0.03\nE = 2\n")
+    text = TRAIN_CFG
+    for setting in settings:
+        text = with_setting(text, setting)
+    cfg = write(tmp_path / "train.cfg", text)
+    grid = write(tmp_path / "grid.cfg", f"K = {k}\nlambda = 0.03\nE = 2\n")
     out = tmp_path / "s3" / "out.csv"
-    assert main(["sweep", "--config", cfg, "--grid", grid,
+    assert main(["sweep", "--config", cfg, "--grid", grid, *flags,
                  "--data", str(tmp_path / "nodata"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert one_line(err) and "channels must be >= 1, got 0" in err, err
+    assert one_line(err) and message in err, err
     assert not out.parent.exists()
     assert calls == []
 
