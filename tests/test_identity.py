@@ -1,11 +1,12 @@
 """Outputs that must stay byte-identical, checked against committed digests.
 
 Each artifact is the bytes a caller sees (a CSV text, a result's repr, a
-weight map's raw bytes, a file the CLI wrote) together with the float64
-arrays it holds.  The CLI runs ``gen``, ``preprocess``, ``train`` and
-``sweep --jobs 1`` in a temporary directory; each manifest is hashed with
-its ``start_time`` and ``end_time`` lines dropped and its paths made
-relative to that directory.
+weight map's or a model's raw bytes, a file the CLI wrote, the gradient
+check's printed lines) together with the float64 arrays it holds.  The CLI
+runs ``gen``, ``preprocess``, ``train`` and ``sweep`` at ``--jobs`` 1 and 2
+in a temporary directory; each manifest is hashed with its ``start_time``
+and ``end_time`` lines dropped and its paths made relative to that
+directory.
 ``identity_digests.json`` stores a sha256 per artifact, keyed by the BLAS
 name and version of numpy's build, and a sum and L2 norm per array for
 every build.  On a build with stored digests every artifact must hash the
@@ -33,6 +34,7 @@ import numpy as np
 
 from globalattn.attention import MODES
 from globalattn.cli import main
+from globalattn.pipelinecheck import full_pipeline_gradcheck
 from globalattn.serialize import read_checkpoint, read_gten
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
 from globalattn.training import (PROTOCOLS, TrainConfig, grid_configs,
@@ -66,7 +68,9 @@ CLI_RUN = ["gen --spec {0}/synth.cfg --out {0}/data",
            "preprocess --spec {0}/pre.cfg --in {0}/data --out {0}/pre",
            "train --config {0}/train.cfg --data {0}/pre --out {0}/run",
            "sweep --config {0}/train.cfg --grid {0}/grid.cfg --data {0}/pre "
-           "--out {0}/sweep/cells.csv --jobs 1"]
+           "--out {0}/sweep/cells.csv --jobs 1",
+           "sweep --config {0}/train.cfg --grid {0}/grid.cfg --data {0}/pre "
+           "--out {0}/sweep2/cells.csv --jobs 2"]
 
 
 def blas_build() -> str:
@@ -79,12 +83,21 @@ def artifacts() -> dict[str, tuple[bytes, list[np.ndarray]]]:
     batch, _ = generate_synthetic(SPEC)
     tr, te = split_train_test(batch, 0.5, SPEC.seed)
     out = {}
-    for mode in MODES:
-        report = train(tr, te, replace(CFG, attention_mode=mode))
+    # the three attention modes, and a second stage narrower than the first,
+    # whose conv runs the stacked taps with an input gradient
+    runs = {mode: replace(CFG, attention_mode=mode) for mode in MODES}
+    runs["stages8,4"] = replace(CFG, stages=(8, 4))
+    for run, cfg in runs.items():
+        report = train(tr, te, cfg)
         rows = np.array([astuple(r) for r in report.rows], dtype=np.float64)
-        out[f"train/{mode}/report.csv"] = (report.csv_text().encode(), [rows])
+        out[f"train/{run}/report.csv"] = (report.csv_text().encode(), [rows])
         for epoch, snap in sorted(report.snapshots.items()):
-            out[f"train/{mode}/snapshot{epoch}"] = (snap.tobytes(), [snap])
+            out[f"train/{run}/snapshot{epoch}"] = (snap.tobytes(), [snap])
+        for model, name in zip(report.final_models,
+                               ("attention", "classifier")):
+            params = [t.data for t in model.params]
+            out[f"train/{run}/final_{name}"] = (
+                b"".join(a.tobytes() for a in params), params)
     for protocol in PROTOCOLS:
         result = run_protocol(tr, te, replace(CFG, eval_protocol=protocol))
         mean, std, epochs = result
@@ -96,6 +109,11 @@ def artifacts() -> dict[str, tuple[bytes, list[np.ndarray]]]:
         rows = sweep(tr, te, cells, jobs)
         out[f"sweep_csv_text/jobs{jobs}"] = (
             sweep_csv_text(rows).encode(), [np.array(rows, dtype=np.float64)])
+    # the CLI's default check; its errors are differences of near-equal
+    # costs, so only h is compared on another build
+    check = full_pipeline_gradcheck(8, 8, 2, 0, 4)
+    out["gradcheck/lines"] = ("\n".join([*check.lines(), f"h = {check.h!r}"])
+                              .encode(), [np.array([check.h])])
     return out | cli_artifacts()
 
 
