@@ -80,18 +80,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     spec, spec_kv = load_preprocess_spec(args.spec)
-    in_dir, out = Path(args.in_dir), _out_dir(Path(args.out))
+    in_dir = Path(args.in_dir)
     stems = [s for s in ("train", "test")
              if (in_dir / f"{s}.gten").exists()]
     if not stems:
         raise DataFormatError(f"no train.gten or test.gten under {in_dir}")
     # each split's images are processed as they are read, and every split
-    # is processed before any is written, so a failure leaves no partial
-    # output behind
+    # is processed before --out is made, so a failure leaves no output
     processed = []
     for stem in stems:
         _, images, labels, num_classes = open_dataset(in_dir / stem)
         processed.append((apply_pipeline(spec, images), labels, num_classes))
+    out = _out_dir(Path(args.out))
     manifest = RunManifest(out / "manifest.txt", "preprocess", spec_kv, None)
     for stem, (images, labels, num_classes) in zip(stems, processed):
         manifest.add_artifacts(
@@ -114,8 +114,8 @@ def _load_splits(data_dir: Path) -> tuple[ImageBatch, ImageBatch]:
 
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
-    out = _out_dir(Path(args.out))
     train_set, test_set = _load_splits(Path(args.data))
+    out = _out_dir(Path(args.out))
     report = train(train_set, test_set, cfg)
     manifest = RunManifest(out / "manifest.txt", "train", config_kv(cfg),
                            cfg.seed)
@@ -157,12 +157,12 @@ def _cmd_sweep(args) -> int:
     cfg = load_train_config(args.config)
     grid = load_kv_file(args.grid, field_keys(_GRID_FIELDS))
     cells = grid_configs(cfg, **parse_fields(_GRID_FIELDS, grid, required=True))
-    check_sweep(cells, args.jobs)
+    check_sweep(args.jobs)
     out_csv = Path(args.out)
     if out_csv.is_dir():
         raise ConfigError(f"--out {out_csv} is a directory, not a CSV path")
-    _out_dir(out_csv.parent)
     train_set, test_set = _load_splits(Path(args.data))
+    _out_dir(out_csv.parent)
     rows = sweep(train_set, test_set, cells, args.jobs)
     grid_kv = {f"grid.{f.key}": grid[f.key] for f in _GRID_FIELDS}
     manifest = RunManifest(out_csv.with_name(out_csv.name + ".manifest.txt"),

@@ -35,8 +35,6 @@ class ImageBatch:
         if self.images.ndim != 4:
             raise ContractError(
                 f"images must be rank 4 (N, C, W, H), got rank {self.images.ndim}")
-        if self.images.shape[0] < 1:
-            raise ContractError("batch must contain at least one image")
         if 0 in self.images.shape:
             raise ContractError(
                 f"images must have no zero extent, got {self.images.shape}")

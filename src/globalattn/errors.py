@@ -23,11 +23,11 @@ class DataFormatError(ValueError):
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        super().__init__(f"non-finite loss at epoch {epoch}")
 
     def __reduce__(self):
-        # rebuild from (epoch, message), so a sweep worker's error keeps
-        # its integer epoch when it crosses the process boundary
-        return type(self), (self.epoch, str(self))
+        # rebuild from the epoch, so a sweep worker's error keeps its
+        # integer epoch when it crosses the process boundary
+        return type(self), (self.epoch,)

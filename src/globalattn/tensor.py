@@ -245,6 +245,8 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...],
            backward_fn: Callable[..., None]) -> Tensor:
+    # an op is recorded only when an input takes a gradient, so the rule of
+    # a one-input op never tests its input's requires_grad
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad and _TAPES:
         _TAPES[-1]._record(_Record(out._slot, tuple(t._slot for t in inputs),
@@ -275,8 +277,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def bw(g, sa):
-        if sa.requires_grad:
-            _accumulate(sa, g * c)
+        _accumulate(sa, g * c)
 
     return _apply(a.data * c, (a,), bw)
 
@@ -301,8 +302,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bw(g, sx):
-        if sx.requires_grad:
-            _accumulate(sx, g * mask, fresh=True)
+        _accumulate(sx, g * mask, fresh=True)
 
     return _apply(np.where(mask, x.data, 0.0), (x,), bw)
 
@@ -322,8 +322,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid_stable(x.data)
 
     def bw(g, sx):
-        if sx.requires_grad:
-            _accumulate(sx, g * s * (1.0 - s))
+        _accumulate(sx, g * s * (1.0 - s))
 
     return _apply(s, (x,), bw)
 
@@ -332,8 +331,7 @@ def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all elements, as a rank-0 tensor."""
 
     def bw(g, sx):
-        if sx.requires_grad:
-            _accumulate(sx, np.full(sx.shape, float(g)))
+        _accumulate(sx, np.full(sx.shape, float(g)))
 
     return _apply(np.asarray(x.data.sum()), (x,), bw)
 
@@ -343,8 +341,7 @@ def l1_mean(x: Tensor) -> Tensor:
     xd = x.data
 
     def bw(g, sx):
-        if sx.requires_grad:
-            _accumulate(sx, (float(g) / xd.size) * np.sign(xd))
+        _accumulate(sx, (float(g) / xd.size) * np.sign(xd))
 
     return _apply(np.asarray(np.abs(xd).mean()), (x,), bw)
 
@@ -354,8 +351,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
 
     def bw(g, sx):
-        if sx.requires_grad:
-            _accumulate(sx, g.reshape(sx.shape))
+        _accumulate(sx, g.reshape(sx.shape))
 
     return _apply(x.data.reshape(shape), (x,), bw)
 
@@ -700,10 +696,9 @@ def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     softmax = exps / denom
 
     def bw(g, sl):
-        if sl.requires_grad:
-            delta = softmax.copy()
-            delta[np.arange(b), y] -= 1.0
-            _accumulate(sl, (float(g) / b) * delta)
+        delta = softmax.copy()
+        delta[np.arange(b), y] -= 1.0
+        _accumulate(sl, (float(g) / b) * delta)
 
     return _apply(np.asarray(loss), (logits,), bw)
 

@@ -63,8 +63,8 @@ class TrainConfig:
     Defaults are desk-scale: 60 total epochs with cut-off 15 and 5 selected
     epochs keep roughly the 250/60/30 proportions of full-scale runs while
     finishing in seconds.  Every value, the architecture included, is
-    checked when the config is made but ``cv_folds`` and ``top_epochs``,
-    which :func:`check_cv` checks before cross-validation starts.
+    checked when the config is made; ``cv_folds`` and ``top_epochs`` only
+    under ``cv_epoch_selection``, since no other protocol reads them.
     """
 
     channels: int = 8              # hidden channels K of the pixel classifier
@@ -128,6 +128,13 @@ class TrainConfig:
         check_attention_arch(self.attention_mode, self.channels,
                              self.hidden_kernel, self.depth, self.last_kernel)
         check_classifier_arch(self.stages)
+        if self.eval_protocol == "cv_epoch_selection":
+            if self.cv_folds < 2:
+                raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+            if not 1 <= self.top_epochs <= self.total_epochs:
+                raise ConfigError(
+                    f"top_epochs must lie in [1, {self.total_epochs}], "
+                    f"got {self.top_epochs}")
 
 
 @dataclass
@@ -349,23 +356,14 @@ def rank_epochs(mean_accuracy, top: int) -> list[int]:
     return [e + 1 for e in order[:top]]
 
 
-def check_cv(cfg: TrainConfig) -> None:
-    """Raise :class:`ConfigError` unless ``cfg`` has two or more folds and
-    ``top_epochs`` in [1, ``total_epochs``]; fold size waits for the data."""
-    if cfg.cv_folds < 2:
-        raise ConfigError(f"cv_folds must be >= 2, got {cfg.cv_folds}")
-    if not 1 <= cfg.top_epochs <= cfg.total_epochs:
-        raise ConfigError(f"top_epochs must lie in [1, {cfg.total_epochs}], "
-                          f"got {cfg.top_epochs}")
-
-
 def select_epochs_cv(train_set: ImageBatch, cfg: TrainConfig) -> list[int]:
     """Rank epochs by mean validation accuracy over ``cfg.cv_folds`` folds.
 
     Returns the ``cfg.top_epochs`` best 1-indexed epochs; ties favor the
-    earlier epoch.
+    earlier epoch.  ``cfg`` is checked as a cross-validated config, whatever
+    its protocol; the fold size is checked against the data.
     """
-    check_cv(cfg)
+    cfg = replace(cfg, eval_protocol="cv_epoch_selection")
     folds, top = cfg.cv_folds, cfg.top_epochs
     if train_set.n // folds < cfg.batch_size:
         raise ConfigError(
@@ -425,14 +423,11 @@ def _sweep_row(train_set: ImageBatch, test_set: ImageBatch, cfg: TrainConfig
     return cfg.channels, cfg.l1_coeff, cfg.cutoff_epoch, mean, std
 
 
-def check_sweep(cells: list[TrainConfig], jobs: int) -> None:
-    """Raise :class:`ConfigError` for a sweep rule that needs no data:
-    ``jobs`` >= 1, and :func:`check_cv` for each cross-validated cell."""
+def check_sweep(jobs: int) -> None:
+    """Raise :class:`ConfigError` unless ``jobs`` >= 1, the one sweep rule
+    that no :class:`TrainConfig` holds."""
     if jobs < 1:
         raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
-    for cell in cells:
-        if cell.eval_protocol == "cv_epoch_selection":
-            check_cv(cell)
 
 
 def sweep(train_set: ImageBatch, test_set: ImageBatch,
@@ -441,7 +436,7 @@ def sweep(train_set: ImageBatch, test_set: ImageBatch,
     """Evaluate every cell of :func:`grid_configs`, once :func:`check_sweep`
     passes; rows follow ``cells``.  With ``jobs`` > 1 and more than one cell,
     the cells run in a process pool of ``min(jobs, cells)`` workers."""
-    check_sweep(cells, jobs)
+    check_sweep(jobs)
     args = (itertools.repeat(train_set), itertools.repeat(test_set), cells)
     workers = min(jobs, len(cells))
     if workers > 1:

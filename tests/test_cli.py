@@ -232,7 +232,7 @@ def test_damage_inside_the_last_image_exits_3(tmp_path, capsys, command, damage)
                                                         IDENTITY_PRE), "--in"])
     assert main([command, *args, str(data), "--out", str(out)]) == 3
     assert "data format error" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_gen_value_the_writer_refuses_keeps_the_old_file(tmp_path, capsys):
@@ -376,7 +376,7 @@ def test_preprocess_failing_split_writes_nothing(tmp_path, capsys):
     assert main(["preprocess", "--spec", spec, "--in", str(data),
                  "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("left, right", [(0, 20), (-1, 4), (2, 8)])
@@ -387,6 +387,7 @@ def test_preprocess_crop_past_the_image_exits_2(tmp_path, capsys, left, right):
                  "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: crop columns") and err.count("\n") == 1
+    assert not (tmp_path / "p").exists()
 
 
 def test_preprocess_empty_dir_exits_3(tmp_path):
@@ -580,7 +581,7 @@ def test_preprocess_stats_that_overflow_exit_2_before_any_write(tmp_path, capsys
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "channel_stats" in err, err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def one_line(err):
@@ -615,6 +616,52 @@ def test_train_refuses_a_bad_architecture_before_out_or_data(tmp_path,
     assert not out.exists()
 
 
+def spy_on_data_and_training(monkeypatch):
+    """The calls that reach ``load_dataset`` or ``train``, as a list."""
+    calls = []
+    for owner, name in ((cli, "load_dataset"), (cli, "train"),
+                        (training, "train")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
+def test_train_refuses_a_bad_cv_field_before_out_or_data(tmp_path, capsys,
+                                                         monkeypatch):
+    # the CV fields are checked when the config is made, as for sweep
+    data = run_gen(tmp_path)
+    calls = spy_on_data_and_training(monkeypatch)
+    cfg = write(tmp_path / "train.cfg",
+                TRAIN_CFG + "eval_protocol = cv_epoch_selection\n"
+                "cv_folds = 1\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--data", str(data),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert one_line(err) and "cv_folds must be >= 2, got 1" in err, err
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "preprocess"])
+def test_missing_input_exits_3_before_out_is_made(tmp_path, capsys, command):
+    cfg = ["--config", write(tmp_path / "train.cfg", TRAIN_CFG)]
+    args = {"train": [*cfg, "--data"],
+            "sweep": [*cfg, "--grid", write(tmp_path / "grid.cfg",
+                                            "K = 4\nlambda = 0.03\nE = 2\n"),
+                      "--data"],
+            "preprocess": ["--spec", write(tmp_path / "pre.cfg", IDENTITY_PRE),
+                           "--in"]}[command]
+    parent = tmp_path / "made"
+    out = parent / ("out.csv" if command == "sweep" else "out")
+    assert main([command, *args, str(tmp_path / "nodata"),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert one_line(err) and "data format error" in err, err
+    assert not parent.exists()
+
+
 CV = "eval_protocol = cv_epoch_selection"
 BAD_SWEEPS = [  # K in the grid, config settings, flags, the error
     ("4,0", [], [], "channels must be >= 1, got 0"),
@@ -630,11 +677,7 @@ def test_sweep_refuses_a_bad_cell_before_the_first_trains(
         tmp_path, capsys, monkeypatch, k, settings, flags, message):
     # the cells and jobs are checked before --out's directory is made or
     # --data read
-    calls = []
-    for owner, name in ((cli, "load_dataset"), (training, "train")):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name,
-                            lambda *a, real=real: calls.append(a) or real(*a))
+    calls = spy_on_data_and_training(monkeypatch)
     text = TRAIN_CFG
     for setting in settings:
         text = with_setting(text, setting)

@@ -137,3 +137,22 @@ def test_train_config_accepts_the_seed_and_weight_decay_bounds():
     for fields in ({"weight_decay": 0.0}, {"weight_decay": -0.0},
                    {"seed": 0}, {"seed": 2 ** 64 - 1}):
         TrainConfig(**fields)
+
+
+CV = {"eval_protocol": "cv_epoch_selection", "total_epochs": 4,
+      "cutoff_epoch": 2}
+CV_RULES = [
+    ({"cv_folds": 1}, "cv_folds must be >= 2, got 1"),
+    ({"top_epochs": 0}, r"top_epochs must lie in \[1, 4\], got 0"),
+    ({"top_epochs": 5}, r"top_epochs must lie in \[1, 4\], got 5"),
+]
+
+
+@pytest.mark.parametrize("fields, message", CV_RULES,
+                         ids=["cv_folds=1", "top_epochs=0",
+                              "top_epochs=total+1"])
+def test_cv_rules_run_when_a_cross_validated_config_is_made(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(**CV, **fields)
+    # a holdout config never reads them
+    TrainConfig(total_epochs=4, cutoff_epoch=2, **fields)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -142,6 +143,7 @@ def test_train_is_bitwise_reproducible():
 # glibc's default policy and no earlier test's arrays sit on it.
 FRESH_TRAIN = """
 import os
+import pickle
 import numpy as np
 from globalattn.errors import DivergenceError
 from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
@@ -278,6 +280,13 @@ def test_divergence_aborts_with_epoch_index():
     assert 1 <= info.value.epoch <= 4
 
 
+def test_divergence_error_pickles_with_its_epoch_and_text():
+    # as a sweep worker's error crosses the process boundary
+    back = pickle.loads(pickle.dumps(DivergenceError(3)))
+    assert (type(back), back.epoch, str(back)) == (
+        DivergenceError, 3, "non-finite loss at epoch 3")
+
+
 def test_overflow_outside_train_still_warns():
     """train() silences overflow only inside its own run: after a run
     that diverged, an overflow still fails under filterwarnings = error."""
@@ -393,6 +402,16 @@ def test_fold_smaller_than_batch_rejected():
     cfg = tiny_cfg(batch_size=8)
     with pytest.raises(ConfigError, match="fold"):
         select_epochs_cv(tr, replace(cfg, cv_folds=5, top_epochs=2))
+
+
+def test_select_epochs_checks_cv_rules_whatever_the_protocol():
+    # a holdout config skips the CV rules when it is made, not when it is
+    # cross-validated
+    tr, _, _ = tiny_sets(n=32)
+    cfg = tiny_cfg(batch_size=4, cv_folds=1)
+    assert cfg.eval_protocol == "simple_holdout"
+    with pytest.raises(ConfigError, match="cv_folds must be >= 2, got 1"):
+        select_epochs_cv(tr, cfg)
 
 
 def test_evaluate_single_epoch_has_zero_std():
