@@ -41,12 +41,15 @@ EXIT_MEMORY = 6
 
 
 def _out_dir(path: Path) -> Path:
-    """Make the output directory ``path``; a file in its place is a
-    configuration error."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"output directory {path}: {exc.strerror}") from exc
+    """``path``, checked to be an output directory or a place for one: a
+    file at it or at its nearest existing ancestor is a configuration
+    error.  The command's first write makes it."""
+    for place in (path, *path.parents):
+        if place.exists():
+            if not place.is_dir():
+                raise ConfigError(
+                    f"output directory {path}: {place} is not a directory")
+            break
     return path
 
 
@@ -86,7 +89,7 @@ def _cmd_preprocess(args) -> int:
     if not stems:
         raise DataFormatError(f"no train.gten or test.gten under {in_dir}")
     # each split's images are processed as they are read, and every split
-    # is processed before --out is made, so a failure leaves no output
+    # before the first write, so a failure leaves no output
     processed = []
     for stem in stems:
         _, images, labels, num_classes = open_dataset(in_dir / stem)

@@ -11,6 +11,7 @@ checksums (timestamps aside).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,7 +43,8 @@ class RunManifest:
         self.seed = seed
         self.start_time = datetime.now(timezone.utc).isoformat()
         self.artifacts: dict[Path, str] = {}
-        self.path.unlink(missing_ok=True)
+        with suppress(FileNotFoundError, NotADirectoryError):  # none there
+            self.path.unlink()
 
     def add_artifacts(self, digests: dict[Path, str]) -> None:
         self.artifacts.update(digests)

@@ -19,11 +19,12 @@ tensor spans before it allocates anything, then converts one slice at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -172,9 +173,18 @@ def _read_tensor(fh, nbytes: int) -> np.ndarray:
 @contextmanager
 def atomic_write(path: str | Path):
     """A binary handle on a temporary sibling of ``path`` that replaces
-    ``path`` (``os.replace``) when the block ends.  If the block raises,
-    the temporary file is removed and ``path`` keeps its old bytes."""
+    ``path`` (``os.replace``) when the block ends.  The missing directories
+    above ``path`` are made first.  If the block raises, the temporary file
+    is removed, so are the directories made for it while they are empty,
+    and ``path`` keeps its old bytes.  A file where a directory must be
+    raises a plain :class:`OSError`: the output cannot be written."""
     path = Path(path)
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise OSError(f"cannot make directory {path.parent}: "
+                      f"{exc.strerror}") from exc
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -182,6 +192,9 @@ def atomic_write(path: str | Path):
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        for directory in made:   # deepest first
+            with suppress(OSError):
+                directory.rmdir()
         raise
 
 

@@ -14,8 +14,13 @@ chosen epochs, and hyperparameter grid sweeps.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import itertools
+import os
+import pickle
+import signal
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -195,14 +200,196 @@ def _check_compatible(train_set: ImageBatch, test_set: ImageBatch) -> None:
         raise ContractError("train and test sets differ in class count")
 
 
-def _eval_accuracy(classifier: ClassifierModel, map_data: np.ndarray,
-                   batch: ImageBatch, batch_size: int) -> float:
+def _score(classifier: ClassifierModel, map_data: np.ndarray,
+           batch: ImageBatch, batch_size: int) -> float:
+    """Accuracy (%) on ``batch`` of its images weighted by ``map_data``."""
     preds: list[int] = []
     for start in range(0, batch.n, batch_size):
         chunk = batch.images[start:start + batch_size] * map_data
         logits = classifier_forward(classifier, Tensor(chunk))
         preds.extend(predict(logits))
     return accuracy(preds, batch.labels)
+
+
+def _eval_accuracy(classifier: ClassifierModel, map_data: np.ndarray,
+                   batch: ImageBatch, scorer: _Scorer) -> None:
+    """Hand ``batch`` to ``scorer`` for this epoch; :func:`train` calls it
+    once per split and epoch, so a tracer can wrap each hand-off."""
+    scorer.queue(classifier, map_data, batch)
+
+
+def _answer(classifier: ClassifierModel, splits: tuple[ImageBatch, ...],
+            batch_size: int, message: bytes) -> list[float]:
+    """The accuracies that one epoch's message asks for, in its order."""
+    params, map_data, which = pickle.loads(message)
+    model = copy.copy(classifier)
+    model.params = [Tensor(a) for a in params]
+    return [_score(model, map_data, splits[i], batch_size) for i in which]
+
+
+def _serve(conn, parent_end, parent_cpu: int, classifier: ClassifierModel,
+           splits: tuple[ImageBatch, ...], batch_size: int) -> None:
+    """The scorer process: answer each message until the parent's end
+    closes, which also happens when the parent dies."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    parent_end.close()
+    # Linux wakes a socket's reader on the writer's CPU, where the two
+    # would take turns; on another CPU the scoring overlaps the steps.
+    if hasattr(os, "sched_setaffinity"):
+        others = os.sched_getaffinity(0) - {parent_cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    try:
+        while True:
+            conn.send(_answer(classifier, splits, batch_size,
+                              conn.recv_bytes()))
+    except (EOFError, OSError):
+        pass
+
+
+def _current_cpu() -> int:
+    """The CPU this thread runs on, or -1 where the C library cannot say."""
+    try:
+        return ctypes.CDLL(None).sched_getcpu()
+    except (AttributeError, OSError, TypeError):
+        return -1
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where no scorer can start:
+    without ``fork`` (Windows), or in a daemonic process, which may have no
+    children (a ``multiprocessing.Pool`` worker)."""
+    import multiprocessing
+    if (multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+class _Scorer:
+    """Scores each epoch's splits in one forked process while the parent
+    runs the next epoch, or in the parent where that process cannot start.
+
+    The process inherits the splits and the classifier at the fork, so
+    each epoch sends it only the classifier's parameters, the map and the
+    indices of the splits to score, in one message, which the socket's
+    buffer (about 200 KB on Linux) holds while the process is busy with
+    the last one at the sizes here.  A message stays with the parent
+    until it is answered, so if the process dies, the parent scores what
+    it left unanswered, and the accuracies are the same bits either way.
+    Used as a context manager: on leaving it no process is left.
+    """
+
+    def __init__(self, classifier: ClassifierModel,
+                 splits: tuple[ImageBatch, ...], batch_size: int):
+        self.classifier = classifier
+        self.splits = splits
+        self.batch_size = batch_size
+        self.queued: list[int] = []      # this epoch's split indices
+        self.map_data: np.ndarray | None = None
+        self.answers: list[list[float] | None] = []
+        self.owed: dict[int, bytes] = {}   # epoch index -> unanswered message
+        self.conn = self.process = None
+
+    def __enter__(self) -> _Scorer:
+        try:
+            self._start()
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _start(self) -> None:
+        ctx = _fork_context()
+        if ctx is None:
+            return
+        self.conn, child_end = ctx.Pipe()
+        process = ctx.Process(
+            target=_serve, args=(child_end, self.conn, _current_cpu(),
+                                 self.classifier, self.splits,
+                                 self.batch_size))
+        # A terminal's Ctrl-C reaches the whole process group.  The scorer
+        # starts with SIGINT blocked and ignores it before unblocking, so
+        # only the parent raises KeyboardInterrupt.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns at a fork with threads running.
+                # OpenBLAS's, the ones a run has, shut down at the fork and
+                # restart on use, so the scorer inherits no held lock.
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded, use of "
+                    r"fork\(\) may lead to deadlocks", DeprecationWarning)
+                process.start()
+            self.process = process
+        except OSError:   # no fork to be had: score in this process
+            self.close()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            child_end.close()
+
+    def queue(self, classifier: ClassifierModel, map_data: np.ndarray,
+              batch: ImageBatch) -> None:
+        """Add ``batch``, to be scored by ``classifier`` at ``map_data``, to
+        this epoch's message."""
+        self.classifier, self.map_data = classifier, map_data
+        self.queued.append(next(i for i, s in enumerate(self.splits)
+                                if s is batch))
+
+    def end_epoch(self) -> None:
+        """Send this epoch's message, and take the answers already in."""
+        epoch = len(self.answers)
+        self.answers.append(None)
+        self.owed[epoch] = pickle.dumps(
+            ([p.data for p in self.classifier.params], self.map_data,
+             self.queued), pickle.HIGHEST_PROTOCOL)
+        self.queued = []
+        if self.conn is None:
+            self._score_owed()
+            return
+        try:
+            self.conn.send_bytes(self.owed[epoch])
+            while self.conn.poll():
+                self._take_answer()
+        except (EOFError, OSError):
+            self._score_owed()
+
+    def results(self) -> list[list[float]]:
+        """Every epoch's accuracies, once the process has answered."""
+        try:
+            while self.owed:
+                self._take_answer()
+        except (EOFError, OSError):
+            self._score_owed()
+        return self.answers
+
+    def _take_answer(self) -> None:
+        epoch = next(iter(self.owed))
+        self.answers[epoch] = self.conn.recv()
+        del self.owed[epoch]
+
+    def _score_owed(self) -> None:
+        """Score the unanswered epochs here: no process started, or it is
+        gone, and then the parent scores the rest of the run too."""
+        self.close()
+        for epoch, message in self.owed.items():
+            self.answers[epoch] = _answer(self.classifier, self.splits,
+                                          self.batch_size, message)
+        self.owed.clear()
+
+    def close(self) -> None:
+        if self.conn is None:
+            return
+        self.conn.close()
+        if self.process is not None:
+            if self.owed:
+                self.process.kill()
+            self.process.join()
+        self.conn = self.process = None
 
 
 def build_models(train_set: ImageBatch, cfg: TrainConfig
@@ -280,7 +467,9 @@ def train(train_set: ImageBatch, test_set: ImageBatch,
     glibc the steps reuse each other's freed arrays, and the call returns,
     or raises, with glibc's starting heap thresholds and its free heap
     handed back to the OS, after the run has freed every array but the
-    report's (see :func:`_heap_policy_for_run`).
+    report's (see :func:`_heap_policy_for_run`).  Each epoch is scored in
+    a process forked for the run while the next epoch's steps run, and no
+    process outlives the call (see :class:`_Scorer`).
     """
     _check_compatible(train_set, test_set)
     with (_heap_policy_for_run(),
@@ -302,50 +491,55 @@ def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
     its arrays alive past the heap policy's hand-back.
     """
     attention, classifier, p = build_models(train_set, cfg)
-    opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
-    opt_m = Adam(attention.params, cfg.lr) if attention.params else None
-    shuffle_rng = rng_for(cfg.seed, SHUFFLE)
+    # forked before the run's arrays are on the heap, so that the steps do
+    # not copy the pages they reuse from the scorer's shared ones
+    with _Scorer(classifier, (train_set, test_set), cfg.batch_size) as scorer:
+        opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
+        opt_m = Adam(attention.params, cfg.lr) if attention.params else None
+        shuffle_rng = rng_for(cfg.seed, SHUFFLE)
 
-    def current_map() -> np.ndarray:
-        return attention_forward(attention, p).data
+        def current_map() -> np.ndarray:
+            return attention_forward(attention, p).data
 
-    map_now = current_map()
-    snapshots = {0: map_now.copy()}
-    rows: list[EpochRow] = []
-    for epoch in range(1, cfg.total_epochs + 1):
-        joint = epoch <= cfg.cutoff_epoch and opt_m is not None
-        # after the last joint epoch the map no longer changes
-        frozen_map = None if joint else Tensor(map_now)
-        order = shuffle_rng.permutation(train_set.n)
-        loss_sum = 0.0
-        for start in range(0, train_set.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb = Tensor(train_set.images[idx])
-            yb = train_set.labels[idx]
-            with GradientTape() as tape:
-                cost = compute_cost(xb, yb, attention, classifier, p,
-                                    cfg.l1_coeff, weight_map=frozen_map)
-                if not np.isfinite(cost.data).all():
-                    return epoch
-                backward(cost, tape)
-            opt_f.step()
+        map_now = current_map()
+        snapshots = {0: map_now.copy()}
+        losses: list[float] = []
+        penalties: list[float] = []
+        for epoch in range(1, cfg.total_epochs + 1):
+            joint = epoch <= cfg.cutoff_epoch and opt_m is not None
+            # after the last joint epoch the map no longer changes
+            frozen_map = None if joint else Tensor(map_now)
+            order = shuffle_rng.permutation(train_set.n)
+            loss_sum = 0.0
+            for start in range(0, train_set.n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                xb = Tensor(train_set.images[idx])
+                yb = train_set.labels[idx]
+                with GradientTape() as tape:
+                    cost = compute_cost(xb, yb, attention, classifier, p,
+                                        cfg.l1_coeff, weight_map=frozen_map)
+                    if not np.isfinite(cost.data).all():
+                        return epoch
+                    backward(cost, tape)
+                opt_f.step()
+                if joint:
+                    opt_m.step()
+                tape.clear()
+                loss_sum += cost.item() * len(idx)
             if joint:
-                opt_m.step()
-            tape.clear()
-            loss_sum += cost.item() * len(idx)
-        if joint:
-            map_now = current_map()
-        rows.append(EpochRow(
-            epoch=epoch,
-            train_loss=loss_sum / train_set.n,
-            train_acc=_eval_accuracy(classifier, map_now, train_set,
-                                     cfg.batch_size),
-            test_acc=_eval_accuracy(classifier, map_now, test_set,
-                                    cfg.batch_size),
-            l1_penalty=float(
-                attention_l1_penalty(attention, Tensor(map_now)).data)))
-        if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
-            snapshots[epoch] = map_now.copy()
+                map_now = current_map()
+            for split in (train_set, test_set):
+                _eval_accuracy(classifier, map_now, split, scorer)
+            scorer.end_epoch()
+            losses.append(loss_sum / train_set.n)
+            penalties.append(float(
+                attention_l1_penalty(attention, Tensor(map_now)).data))
+            if epoch in (cfg.cutoff_epoch, cfg.total_epochs):
+                snapshots[epoch] = map_now.copy()
+        accuracies = scorer.results()
+    rows = [EpochRow(epoch, loss, train_acc, test_acc, penalty)
+            for epoch, (loss, (train_acc, test_acc), penalty)
+            in enumerate(zip(losses, accuracies, penalties), start=1)]
     return TrainReport(rows, snapshots, (attention, classifier))
 
 

@@ -566,6 +566,7 @@ def test_gen_signal_that_overflows_exits_2_with_one_line(tmp_path, capsys):
     assert main(["gen", *args]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "signal_strength" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_preprocess_stats_that_overflow_exit_2_before_any_write(tmp_path, capsys):
@@ -644,6 +645,63 @@ def test_train_refuses_a_bad_cv_field_before_out_or_data(tmp_path, capsys,
     assert calls == []
 
 
+CV = "eval_protocol = cv_epoch_selection"
+
+# refusals that need the config and the data together, and a divergence,
+# all come after --out is checked; only the first write makes it
+REFUSED_AFTER_THE_DATA = [  # command, config settings, exit code, error
+    ("train", ["stages = 4,4,4,4"], 2, "spatial size 8x8 not divisible by 2^4"),
+    ("sweep", [CV, "cv_folds = 4"], 2,
+     "fold size 6 smaller than one mini-batch (8)"),
+    ("train", ["lr = 1e300"], 4, "non-finite loss at epoch"),
+]
+
+
+@pytest.mark.parametrize("command, settings, code, message",
+                         REFUSED_AFTER_THE_DATA,
+                         ids=["train-stages", "sweep-fold-size", "train-diverges"])
+def test_a_run_refused_after_reading_its_data_leaves_no_out(
+        tmp_path, capsys, command, settings, code, message):
+    data = run_gen(tmp_path)
+    text = TRAIN_CFG
+    for setting in settings:
+        text = with_setting(text, setting)
+    args = ["--config", write(tmp_path / "train.cfg", text)]
+    out = tmp_path / "made" / "out"
+    if command == "sweep":
+        args += ["--grid", write(tmp_path / "grid.cfg",
+                                 "K = 4\nlambda = 0.03\nE = 2\n")]
+        out = out / "sweep.csv"
+    assert main([command, *args, "--data", str(data), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert one_line(err) and message in err, err
+    assert not (tmp_path / "made").exists()
+
+
+@pytest.mark.parametrize("in_the_way", ["out", "its parent"])
+def test_a_file_put_in_the_way_during_training_exits_5(
+        tmp_path, capsys, monkeypatch, in_the_way):
+    # --out is checked before the run and made by its first write, so a
+    # file that appears in between is an output that cannot be written
+    args = train_args(tmp_path)
+    out = tmp_path / "p" / "out"
+    blocker = out if in_the_way == "out" else out.parent
+    real = cli.train
+
+    def train_then_block(*a):
+        report = real(*a)
+        blocker.parent.mkdir(exist_ok=True)
+        blocker.write_text("in the way\n")
+        return report
+
+    monkeypatch.setattr(cli, "train", train_then_block)
+    assert main(["train", *replaced(args, "--out", str(out))]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert one_line(err) and err.startswith(
+        f"I/O error: cannot make directory {out}: "), err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", ["train", "sweep", "preprocess"])
 def test_missing_input_exits_3_before_out_is_made(tmp_path, capsys, command):
     cfg = ["--config", write(tmp_path / "train.cfg", TRAIN_CFG)]
@@ -662,7 +720,6 @@ def test_missing_input_exits_3_before_out_is_made(tmp_path, capsys, command):
     assert not parent.exists()
 
 
-CV = "eval_protocol = cv_epoch_selection"
 BAD_SWEEPS = [  # K in the grid, config settings, flags, the error
     ("4,0", [], [], "channels must be >= 1, got 0"),
     ("4", [], ["--jobs", "0"], "sweep needs jobs >= 1, got 0"),
@@ -1096,19 +1153,20 @@ def test_readme_exit_code_paragraph_matches_table():
 
 IMPORT_CLI = """
 import sys
-import globalattn.cli
-print(*(m for m in ("concurrent.futures.process", "multiprocessing")
-        if m in sys.modules))
+for module in ("globalattn.training", "globalattn.cli"):
+    __import__(module)
+    print(module, *(m for m in ("concurrent.futures.process", "multiprocessing")
+                    if m in sys.modules))
 """
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only sweep --jobs N > 1 runs a pool, and loading one costs every
-    # process about 2 MB of resident memory
+    # only sweep --jobs N > 1 runs a pool and only train() forks a scorer,
+    # and loading either costs every process about 2 MB of resident memory
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", IMPORT_CLI], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == ["globalattn.training", "globalattn.cli"]

@@ -71,6 +71,31 @@ def test_write_gten_refusing_a_value_writes_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_a_write_makes_its_directories_and_a_refused_one_leaves_none(tmp_path):
+    path = tmp_path / "a" / "b" / "t.gten"
+    with pytest.raises(DataFormatError, match="float32 range"):
+        write_gten(path, np.array([1e39]))
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "kept").write_bytes(b"")
+    with pytest.raises(DataFormatError, match="float32 range"):
+        write_gten(path, np.array([1e39]))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "kept"]
+    write_gten(path, np.ones(2))
+    assert np.array_equal(read_gten(path), np.ones(2))
+
+
+@pytest.mark.parametrize("blocker", ["a", "a/b"])
+def test_a_file_where_a_directory_must_be_is_a_plain_os_error(tmp_path,
+                                                              blocker):
+    # a file at "a" fails the mkdir with ENOTDIR, one at "a/b" with EEXIST
+    (tmp_path / blocker).parent.mkdir(exist_ok=True)
+    (tmp_path / blocker).write_bytes(b"")
+    with pytest.raises(OSError, match="cannot make directory") as info:
+        write_gten(tmp_path / "a" / "b" / "t.gten", np.ones(2))
+    assert type(info.value) is OSError
+
+
 def test_save_dataset_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
     stem = tmp_path / "d"
     save_dataset(stem, np.zeros((2, 1, 2, 2)), [0, 1], 2)

@@ -1,10 +1,14 @@
 import concurrent.futures
 import gc
+import multiprocessing
 import os
 import pickle
 import platform
+import select
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 import warnings
@@ -442,6 +446,151 @@ def test_evaluate_rejects_bad_epoch_lists():
         evaluate_at_epochs(tr, te, tiny_cfg(), [])
     with pytest.raises(ContractError):
         evaluate_at_epochs(tr, te, tiny_cfg(), [7])
+
+
+# ---------------------------------------------------------------------------
+# the scorer process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ending", ["returns", "diverges", "raises"])
+def test_no_scorer_outlives_train(monkeypatch, ending):
+    # each step sees the one scorer; "raises" fails the first step of the
+    # third epoch, while the scorer may still owe the second's answer
+    seen = []
+    real = training.compute_cost
+
+    def cost(*args, **kwargs):
+        seen.append([c.pid for c in multiprocessing.active_children()])
+        if ending == "raises" and len(seen) == 7:
+            raise RuntimeError("failed step")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "compute_cost", cost)
+    tr, te, _ = tiny_sets()
+    cfg = tiny_cfg(lr=1e300 if ending == "diverges" else 0.003)
+    if ending == "returns":
+        train(tr, te, cfg)
+    else:
+        with pytest.raises((DivergenceError, RuntimeError)):
+            train(tr, te, cfg)
+    [scorer] = seen[0]
+    assert all(pids == [scorer] for pids in seen)
+    # joined: neither running nor a zombie, so no longer this process's child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(scorer, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def test_report_is_the_same_when_no_scorer_can_start(monkeypatch):
+    tr, te, _ = tiny_sets()
+    cfg = tiny_cfg()
+    forked = train(tr, te, cfg)
+    monkeypatch.setattr(training, "_fork_context", lambda: None)
+    seen = []
+    real = training.compute_cost
+    monkeypatch.setattr(training, "compute_cost", lambda *a, **k: seen.append(
+        multiprocessing.active_children()) or real(*a, **k))
+    in_parent = train(tr, te, cfg)
+    assert seen and not any(seen)
+    assert in_parent.csv_text() == forked.csv_text()
+
+
+def test_report_is_the_same_when_the_scorer_is_killed(monkeypatch):
+    # the scorer kills itself when the second epoch's message arrives, so
+    # the parent scores that epoch and every later one
+    tr, te, _ = tiny_sets()
+    cfg = tiny_cfg()
+    expected = train(tr, te, cfg).csv_text()
+    parent, answered, rescored = os.getpid(), [], []
+    real = training._answer
+
+    def answer(*args):
+        if os.getpid() == parent:
+            rescored.append(args)
+        else:
+            answered.append(args)
+            if len(answered) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_answer", answer)
+    assert train(tr, te, cfg).csv_text() == expected
+    assert len(rescored) == cfg.total_epochs - 1   # every epoch from the 2nd
+
+
+def alive(pid):
+    """Whether ``pid`` runs; a zombie that nobody reaped has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# A long train() that prints its scorer's pid in its third epoch, then ends
+# on SIGINT by printing the processes it still has.
+SCORED_RUN = """
+import multiprocessing
+from globalattn import training
+from globalattn.synthetic import SyntheticSpec, generate_synthetic, split_train_test
+spec = SyntheticSpec(n=40, c=1, w=8, h=8, relevant_region=(2, 2, 5, 5),
+                     num_classes=3, signal_strength=2.0, noise_std=1.0, seed=0)
+tr, te = split_train_test(generate_synthetic(spec)[0], 0.8, 0)
+real, steps = training.compute_cost, []
+
+def cost(*args, **kwargs):
+    steps.append(1)
+    if len(steps) == 10:
+        print(*(c.pid for c in multiprocessing.active_children()), flush=True)
+    return real(*args, **kwargs)
+
+training.compute_cost = cost
+try:
+    training.train(tr, te, training.TrainConfig(
+        total_epochs=100000, cutoff_epoch=1, batch_size=8, channels=2,
+        stages=(2,)))
+except KeyboardInterrupt:
+    print("interrupted", len(multiprocessing.active_children()), flush=True)
+"""
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                                reason="reads process states from /proc")
+
+
+def start_scored_run():
+    """The run above in a new session (2 processes), and its scorer's pid."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen([sys.executable, "-c", SCORED_RUN], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    ready, _, _ = select.select([proc.stdout], [], [], 60)
+    line = proc.stdout.readline() if ready else ""
+    if not line.strip().isdigit():
+        proc.kill()
+        pytest.fail(f"no scorer pid: {line!r} {proc.communicate()}")
+    return proc, int(line)
+
+
+@needs_proc
+def test_a_killed_train_leaves_no_scorer():
+    proc, scorer = start_scored_run()
+    proc.kill()
+    proc.communicate(timeout=60)
+    deadline = time.monotonic() + 5
+    while alive(scorer) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not alive(scorer)
+
+
+@needs_proc
+def test_an_interrupted_train_prints_nothing_from_its_scorer():
+    # a terminal's Ctrl-C signals the whole process group
+    proc, scorer = start_scored_run()
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (out, err) == ("interrupted 0\n", "")
+    assert not alive(scorer)
 
 
 # ---------------------------------------------------------------------------
