@@ -235,15 +235,21 @@ def _serve(conn, parent_end, parent_cpu: int, classifier: ClassifierModel,
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     parent_end.close()
     # Linux wakes a socket's reader on the writer's CPU, where the two
-    # would take turns; on another CPU the scoring overlaps the steps.
-    if hasattr(os, "sched_setaffinity"):
-        others = os.sched_getaffinity(0) - {parent_cpu}
-        if others:
-            os.sched_setaffinity(0, others)
+    # would take turns, so the scorer waits for each message off the
+    # parent's CPU.  It scores with every CPU allowed: the BLAS threads
+    # it starts then inherit that, and more of them than allowed CPUs
+    # spin against each other.
+    allowed = (os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity")
+               else set())
+    waiting = allowed - {parent_cpu}
     try:
         while True:
-            conn.send(_answer(classifier, splits, batch_size,
-                              conn.recv_bytes()))
+            if waiting:
+                os.sched_setaffinity(0, waiting)
+            message = conn.recv_bytes()
+            if waiting:
+                os.sched_setaffinity(0, allowed)
+            conn.send(_answer(classifier, splits, batch_size, message))
     except (EOFError, OSError):
         pass
 
@@ -251,9 +257,11 @@ def _serve(conn, parent_end, parent_cpu: int, classifier: ClassifierModel,
 def _current_cpu() -> int:
     """The CPU this thread runs on, or -1 where the C library cannot say."""
     try:
-        return ctypes.CDLL(None).sched_getcpu()
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
     except (AttributeError, OSError, TypeError):
         return -1
+    sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
+    return sched_getcpu()
 
 
 def _fork_context():
@@ -491,8 +499,8 @@ def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
     its arrays alive past the heap policy's hand-back.
     """
     attention, classifier, p = build_models(train_set, cfg)
-    # forked before the run's arrays are on the heap, so that the steps do
-    # not copy the pages they reuse from the scorer's shared ones
+    # fork before the run puts its arrays on the heap: heap pages shared
+    # with the scorer would be copied when the steps reuse them
     with _Scorer(classifier, (train_set, test_set), cfg.batch_size) as scorer:
         opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
         opt_m = Adam(attention.params, cfg.lr) if attention.params else None

@@ -173,11 +173,15 @@ glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                                 reason="the heap policy is glibc's mallopt")
 
 
-def run_fresh(script):
+def fresh_env():
+    """This environment, with the checkout's ``src`` first on the path."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def run_fresh(script):
     proc = subprocess.run([sys.executable, "-c", FRESH_TRAIN + script],
-                          env=env, capture_output=True, text=True,
+                          env=fresh_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -497,7 +501,8 @@ def test_report_is_the_same_when_no_scorer_can_start(monkeypatch):
 
 def test_report_is_the_same_when_the_scorer_is_killed(monkeypatch):
     # the scorer kills itself when the second epoch's message arrives, so
-    # the parent scores that epoch and every later one
+    # the parent scores that epoch and every later one, and the first too
+    # if it had not read that answer yet when it found the scorer gone
     tr, te, _ = tiny_sets()
     cfg = tiny_cfg()
     expected = train(tr, te, cfg).csv_text()
@@ -515,7 +520,7 @@ def test_report_is_the_same_when_the_scorer_is_killed(monkeypatch):
 
     monkeypatch.setattr(training, "_answer", answer)
     assert train(tr, te, cfg).csv_text() == expected
-    assert len(rescored) == cfg.total_epochs - 1   # every epoch from the 2nd
+    assert len(rescored) >= cfg.total_epochs - 1
 
 
 def alive(pid):
@@ -559,9 +564,7 @@ needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(),
 
 def start_scored_run():
     """The run above in a new session (2 processes), and its scorer's pid."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.Popen([sys.executable, "-c", SCORED_RUN], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", SCORED_RUN], env=fresh_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
     ready, _, _ = select.select([proc.stdout], [], [], 60)
