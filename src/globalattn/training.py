@@ -21,6 +21,7 @@ import os
 import pickle
 import signal
 import warnings
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -215,7 +216,7 @@ def _eval_accuracy(classifier: ClassifierModel, map_data: np.ndarray,
                    batch: ImageBatch, scorer: _Scorer) -> None:
     """Hand ``batch`` to ``scorer`` for this epoch; :func:`train` calls it
     once per split and epoch, so a tracer can wrap each hand-off."""
-    scorer.queue(classifier, map_data, batch)
+    scorer.queue(batch)
 
 
 def _answer(classifier: ClassifierModel, splits: tuple[ImageBatch, ...],
@@ -277,55 +278,45 @@ def _fork_context():
 
 class _Scorer:
     """Scores each epoch's splits in one forked process while the parent
-    runs the next epoch, or in the parent where that process cannot start.
+    runs the next epoch, or in the parent where no process can start (no
+    fork, or a failed one) and in a one-epoch run, with no next epoch.
 
     The process inherits the splits and the classifier at the fork, so
-    each epoch sends it only the classifier's parameters, the map and the
-    indices of the splits to score, in one message, which the socket's
-    buffer (about 200 KB on Linux) holds while the process is busy with
-    the last one at the sizes here.  A message stays with the parent
-    until it is answered, so if the process dies, the parent scores what
-    it left unanswered, and the accuracies are the same bits either way.
+    each epoch sends it one message: the classifier's parameters, the map
+    and the indices of the splits to score.  The socket's 208 KiB send
+    buffer (Linux) holds one while the process scores the last: a message
+    is 42 KiB on perfbench's ``holdout``, 43 KiB on ``cli_cv`` and 139 KiB
+    on ``pixelrep``; at 224x224x3 with ``stages = 8,16`` it is 1.54 MiB,
+    and the send waits until the process reads.  Answers come in order, so
+    the unanswered messages wait in a FIFO; if the process dies, the
+    parent scores them, and the accuracies are the same bits either way.
     Used as a context manager: on leaving it no process is left.
     """
 
     def __init__(self, classifier: ClassifierModel,
-                 splits: tuple[ImageBatch, ...], batch_size: int):
+                 splits: tuple[ImageBatch, ...], cfg: TrainConfig):
         self.classifier = classifier
         self.splits = splits
-        self.batch_size = batch_size
+        self.cfg = cfg
         self.queued: list[int] = []      # this epoch's split indices
-        self.map_data: np.ndarray | None = None
-        self.answers: list[list[float] | None] = []
-        self.owed: dict[int, bytes] = {}   # epoch index -> unanswered message
+        self.answers: list[list[float]] = []
+        self.owed: deque[bytes] = deque()   # unanswered messages, oldest first
         self.conn = self.process = None
 
     def __enter__(self) -> _Scorer:
-        try:
-            self._start()
-        except BaseException:
-            self.close()
-            raise
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _start(self) -> None:
-        ctx = _fork_context()
+        ctx = _fork_context() if self.cfg.total_epochs > 1 else None
         if ctx is None:
-            return
-        self.conn, child_end = ctx.Pipe()
-        process = ctx.Process(
-            target=_serve, args=(child_end, self.conn, _current_cpu(),
-                                 self.classifier, self.splits,
-                                 self.batch_size))
+            return self
         # A terminal's Ctrl-C reaches the whole process group.  The scorer
         # starts with SIGINT blocked and ignores it before unblocking, so
         # only the parent raises KeyboardInterrupt.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            with warnings.catch_warnings():
+            self.conn, child_end = ctx.Pipe()
+            with child_end, warnings.catch_warnings():
+                process = ctx.Process(target=_serve, args=(
+                    child_end, self.conn, _current_cpu(), self.classifier,
+                    self.splits, self.cfg.batch_size))
                 # Python >= 3.12 warns at a fork with threads running.
                 # OpenBLAS's, the ones a run has, shut down at the fork and
                 # restart on use, so the scorer inherits no held lock.
@@ -334,60 +325,56 @@ class _Scorer:
                     r"fork\(\) may lead to deadlocks", DeprecationWarning)
                 process.start()
             self.process = process
-        except OSError:   # no fork to be had: score in this process
+        except BaseException as exc:
             self.close()
+            if not isinstance(exc, OSError):  # OSError: no fork to be had
+                raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            child_end.close()
+        return self
 
-    def queue(self, classifier: ClassifierModel, map_data: np.ndarray,
-              batch: ImageBatch) -> None:
-        """Add ``batch``, to be scored by ``classifier`` at ``map_data``, to
-        this epoch's message."""
-        self.classifier, self.map_data = classifier, map_data
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def queue(self, batch: ImageBatch) -> None:
+        """Add ``batch`` to this epoch's message."""
         self.queued.append(next(i for i, s in enumerate(self.splits)
                                 if s is batch))
 
-    def end_epoch(self) -> None:
-        """Send this epoch's message, and take the answers already in."""
-        epoch = len(self.answers)
-        self.answers.append(None)
-        self.owed[epoch] = pickle.dumps(
-            ([p.data for p in self.classifier.params], self.map_data,
-             self.queued), pickle.HIGHEST_PROTOCOL)
+    def end_epoch(self, map_data: np.ndarray) -> None:
+        """Send this epoch's message, scored at ``map_data``, and take the
+        answers already in."""
+        self._exchange(pickle.dumps(
+            ([p.data for p in self.classifier.params], map_data, self.queued),
+            pickle.HIGHEST_PROTOCOL))
         self.queued = []
-        if self.conn is None:
-            self._score_owed()
-            return
-        try:
-            self.conn.send_bytes(self.owed[epoch])
-            while self.conn.poll():
-                self._take_answer()
-        except (EOFError, OSError):
-            self._score_owed()
 
     def results(self) -> list[list[float]]:
         """Every epoch's accuracies, once the process has answered."""
-        try:
-            while self.owed:
-                self._take_answer()
-        except (EOFError, OSError):
-            self._score_owed()
+        self._exchange(None)
         return self.answers
 
-    def _take_answer(self) -> None:
-        epoch = next(iter(self.owed))
-        self.answers[epoch] = self.conn.recv()
-        del self.owed[epoch]
-
-    def _score_owed(self) -> None:
-        """Score the unanswered epochs here: no process started, or it is
-        gone, and then the parent scores the rest of the run too."""
-        self.close()
-        for epoch, message in self.owed.items():
-            self.answers[epoch] = _answer(self.classifier, self.splits,
-                                          self.batch_size, message)
-        self.owed.clear()
+    def _exchange(self, message: bytes | None) -> None:
+        """Send ``message`` and take the answers already in, or, given
+        None, wait for every answer owed.  Where no process runs, or it is
+        gone, close it and score the unanswered messages here, and so the
+        rest of the run's."""
+        if message is not None:
+            self.owed.append(message)
+        try:
+            if self.conn is not None:
+                if message is not None:
+                    self.conn.send_bytes(message)
+                while self.owed and (message is None or self.conn.poll()):
+                    self.answers.append(self.conn.recv())
+                    self.owed.popleft()
+        except (EOFError, OSError):
+            self.close()
+        if self.conn is None:
+            while self.owed:
+                self.answers.append(_answer(
+                    self.classifier, self.splits, self.cfg.batch_size,
+                    self.owed.popleft()))
 
     def close(self) -> None:
         if self.conn is None:
@@ -501,7 +488,7 @@ def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
     attention, classifier, p = build_models(train_set, cfg)
     # fork before the run puts its arrays on the heap: heap pages shared
     # with the scorer would be copied when the steps reuse them
-    with _Scorer(classifier, (train_set, test_set), cfg.batch_size) as scorer:
+    with _Scorer(classifier, (train_set, test_set), cfg) as scorer:
         opt_f = Adam(classifier.params, cfg.lr, weight_decay=cfg.weight_decay)
         opt_m = Adam(attention.params, cfg.lr) if attention.params else None
         shuffle_rng = rng_for(cfg.seed, SHUFFLE)
@@ -538,7 +525,7 @@ def _run_schedule(train_set: ImageBatch, test_set: ImageBatch,
                 map_now = current_map()
             for split in (train_set, test_set):
                 _eval_accuracy(classifier, map_now, split, scorer)
-            scorer.end_epoch()
+            scorer.end_epoch(map_now)
             losses.append(loss_sum / train_set.n)
             penalties.append(float(
                 attention_l1_penalty(attention, Tensor(map_now)).data))

@@ -40,11 +40,11 @@ def _references(node: ast.AST) -> set[str]:
     return found
 
 
-def test_every_public_name_is_used_by_a_program():
-    # no public function or class that only tests call: a name with no
-    # reference in src/, demos/ or perfbench/ beyond its own definition is
-    # either removed or kept in KEPT with its reason
-    public, used = set(), set()
+def _program_names() -> tuple[set[str], set[str], set[str]]:
+    """The package's public top-level functions and classes, its private
+    functions, classes and methods at any depth, and every name that a
+    program in src/, demos/ or perfbench/ references."""
+    public, private, used = set(), set(), set()
     for path in (p for top in PROGRAMS for p in top.rglob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             refs = _references(stmt)
@@ -52,10 +52,31 @@ def test_every_public_name_is_used_by_a_program():
                 refs.discard(stmt.name)  # a self-reference is no use
                 if path.parent == PACKAGE and not stmt.name.startswith("_"):
                     public.add(stmt.name)
+            if path.parent == PACKAGE:
+                private.update(
+                    node.name for node in ast.walk(stmt)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__"))
             # a re-export in __init__.py names the API; it does not use it
             if path.name != "__init__.py":
                 used |= refs
+    return public, private, used
+
+
+def test_every_public_name_is_used_by_a_program():
+    # no public function or class that only tests call: a name with no
+    # reference in src/, demos/ or perfbench/ beyond its own definition is
+    # either removed or kept in KEPT with its reason
+    public, _, used = _program_names()
     assert public - used == set(KEPT)
+
+
+def test_every_private_name_is_used_by_a_program():
+    # a private function, class or method that only tests reach is dead
+    # code, such as a helper that a rewrite left behind
+    _, private, used = _program_names()
+    assert private - used == set()
 
 
 def test_defaults_have_one_home():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import gc
 import multiprocessing
 import os
@@ -502,25 +503,72 @@ def test_report_is_the_same_when_no_scorer_can_start(monkeypatch):
 def test_report_is_the_same_when_the_scorer_is_killed(monkeypatch):
     # the scorer kills itself when the second epoch's message arrives, so
     # the parent scores that epoch and every later one, and the first too
-    # if it had not read that answer yet when it found the scorer gone
+    # if it had not read that answer yet when it found the scorer gone;
+    # killed on the first message, it has answered nothing, and the parent
+    # scores every epoch
     tr, te, _ = tiny_sets()
     cfg = tiny_cfg()
     expected = train(tr, te, cfg).csv_text()
-    parent, answered, rescored = os.getpid(), [], []
+    parent = os.getpid()
     real = training._answer
+    for dies_on in (2, 1):
+        answered, rescored = [], []
 
-    def answer(*args):
-        if os.getpid() == parent:
-            rescored.append(args)
-        else:
-            answered.append(args)
-            if len(answered) == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
-        return real(*args)
+        def answer(*args):
+            if os.getpid() == parent:
+                rescored.append(args)
+            else:
+                answered.append(args)
+                if len(answered) == dies_on:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
 
-    monkeypatch.setattr(training, "_answer", answer)
-    assert train(tr, te, cfg).csv_text() == expected
-    assert len(rescored) >= cfg.total_epochs - 1
+        monkeypatch.setattr(training, "_answer", answer)
+        assert train(tr, te, cfg).csv_text() == expected
+        assert len(rescored) >= cfg.total_epochs + 1 - dies_on
+
+
+def test_a_one_epoch_train_forks_no_scorer(monkeypatch):
+    # one epoch has no next epoch for its scoring to overlap
+    tr, te, _ = tiny_sets()
+    two = train(tr, te, tiny_cfg(total_epochs=2, cutoff_epoch=1))
+    seen = []
+    real = training.compute_cost
+    monkeypatch.setattr(training, "compute_cost", lambda *a, **k: seen.append(
+        multiprocessing.active_children()) or real(*a, **k))
+    one = train(tr, te, tiny_cfg(total_epochs=1, cutoff_epoch=1))
+    assert seen and not any(seen)
+    assert one.csv_text().splitlines() == two.csv_text().splitlines()[:2]
+
+
+@pytest.mark.parametrize("error", [OSError(errno.EAGAIN, "no fork"),
+                                   KeyboardInterrupt()],
+                         ids=["OSError", "KeyboardInterrupt"])
+def test_a_failed_fork_leaves_no_scorer_and_sigint_unblocked(monkeypatch,
+                                                             error):
+    # after an OSError at the fork the parent scores; any other error
+    # leaves train()
+    tr, te, _ = tiny_sets()
+    cfg = tiny_cfg()
+    forked = train(tr, te, cfg).csv_text()
+
+    def start(self):
+        raise error
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    seen = []
+    real = training.compute_cost
+    monkeypatch.setattr(training, "compute_cost", lambda *a, **k: seen.append(
+        multiprocessing.active_children()) or real(*a, **k))
+    if isinstance(error, OSError):
+        assert train(tr, te, cfg).csv_text() == forked
+        assert seen and not any(seen)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            train(tr, te, cfg)
+        assert seen == []
+    assert multiprocessing.active_children() == []
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
 def alive(pid):
